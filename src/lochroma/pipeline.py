@@ -80,7 +80,8 @@ class RunReport:
     """Deterministic run facts plus wall-clock stage timings.
 
     The timings are excluded from the CSV row so identical seeds give
-    byte-identical rows.
+    byte-identical rows under one BLAS setup; across BLAS thread counts only
+    the residual fields may differ.
     """
 
     n: int

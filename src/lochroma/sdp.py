@@ -5,8 +5,13 @@ The edge constraints are linear in the stacked factor, so the primary method
 eliminates them exactly: restrict the factor to the null space of the edge
 indicator vectors (edge sums then vanish to machine precision by
 construction) and solve the remaining unit-norm system by Levenberg-Marquardt
-over a ladder of small factor ranks.  Small ranks matter: surplus rank adds
-flat directions along which the polish crawls.  If the ladder stalls, a
+over a ladder of small factor ranks.  The basis comes from the short side of
+the sparse (n+1) x m incidence: the zero eigenvectors of the (n+1) x (n+1)
+Gram when m >= n+1, turned to a seeded rotation so the result does not move
+with BLAS threading, and a dense SVD of the m x (n+1) transpose otherwise.
+It is not built when n+1-m alone leaves the rank ladder empty.  Small ranks
+matter: surplus rank adds flat directions along which the polish crawls.
+If the ladder stalls, a
 full-space phase (damped renormalized penalty descent plus an LM polish) and,
 for small instances, alternating projections on the Gram matrix are tried.
 A stall is never reported as an infeasibility certificate; it carries the
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import null_space
+from scipy.linalg import eigh, null_space
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .hypercore import Hypergraph
@@ -280,17 +285,41 @@ def _lm_polish(X, E, tol, max_iters):
     return X, iters, False
 
 
-def _edge_null_basis(H: Hypergraph) -> np.ndarray:
+def _edge_null_basis(H: Hypergraph, seed: int = 0) -> np.ndarray:
     """Orthonormal basis of the space orthogonal to every edge indicator.
 
     Any stacked factor built from these columns satisfies all edge-sum
     constraints identically; only the unit-norm rows remain to be arranged.
+
+    The (n+1) x m incidence Z (four ones per edge column) is decomposed on
+    its short side.  With m >= n+1 the basis spans the eigenvectors of the
+    (n+1) x (n+1) Gram Z Z^T whose eigenvalues are numerically zero; the
+    m x m left factor of a full SVD is never formed.  Eigenvectors of a zero
+    cluster are an arbitrary rotation of the subspace that moves with BLAS
+    threading, so the basis is re-derived as orth(P S), with P the projector
+    onto the computed subspace and S a Gaussian draw from a named substream
+    of ``seed``.  With m < n+1 the dense SVD of the m x (n+1) matrix Z^T is
+    the short side and is kept as is.
     """
     N = H.n + 1
-    Z = np.zeros((N, H.m))
-    for e, (a, b, c) in enumerate(H.edges):
-        Z[[a, b, c, H.n], e] = 1.0
-    return null_space(Z.T)
+    E = H.edge_array()
+    m = len(E)
+    rows = np.concatenate([E.T.ravel(), np.full(m, H.n)])
+    Z = sp.csr_matrix((np.ones(4 * m), (rows, np.tile(np.arange(m), 4))), shape=(N, m))
+    if m < N:
+        return null_space(Z.toarray().T)
+    G = (Z @ Z.T).toarray()
+    # Z has small integer entries, so the nonzero eigenvalues of G stay well
+    # clear of zero, while eigh leaves the zero ones at rounding level
+    # (~1e-16 * ||G||).  On planted m = 3n cores, n = 600-1200, the smallest
+    # nonzero eigenvalue was 0.69-1.19 and the zero ones were below 9e-14;
+    # the cut 1e-10 * ||G||_inf (7e-7 to 1.4e-6 there) clears both by more
+    # than five orders of magnitude.
+    cut = 1e-10 * float(G.sum(axis=1).max())
+    _, U = eigh(G, subset_by_value=(-np.inf, cut), driver="evr")
+    S = normals(substream(seed, "sdp:null-rotation"), (N, U.shape[1]))
+    B, _ = np.linalg.qr(U @ (U.T @ S))
+    return B
 
 
 def _reduced_lm(B: np.ndarray, Y: np.ndarray, tol: float, max_iters: int):
@@ -306,9 +335,8 @@ def _reduced_lm(B: np.ndarray, Y: np.ndarray, tol: float, max_iters: int):
         if np.abs(f).max() <= tol:
             return Y, iters - 1, True
         JtF = 2.0 * (B.T @ (f[:, None] * R))
-        M = 4.0 * np.einsum(
-            "ip,is,iq,it->psqt", B, R, B, R, optimize=True
-        ).reshape(q * r, q * r)
+        J = (B[:, :, None] * R[:, None, :]).reshape(N, q * r)
+        M = 4.0 * (J.T @ J)
         try:
             step = np.linalg.solve(M + lam * np.eye(q * r), -JtF.ravel())
         except np.linalg.LinAlgError:
@@ -465,9 +493,15 @@ def solve_feasibility(
             )
 
     # Phase 1: exact edge-constraint elimination, unit norms by reduced LM.
-    B = _edge_null_basis(H)
-    q = B.shape[1]
-    for rr in _reduced_rank_ladder(q, cfg.rank):
+    # q >= n+1-m, and above 8 the ladder only shrinks as q grows, so when that
+    # bound alone empties it the basis is not built.
+    q_low = H.n + 1 - H.m
+    ranks = []
+    if q_low <= 8 or _reduced_rank_ladder(q_low, cfg.rank):
+        B = _edge_null_basis(H, cfg.seed)
+        q = B.shape[1]
+        ranks = _reduced_rank_ladder(q, cfg.rank)
+    for rr in ranks:
         for attempt in range(2):
             rng = substream(cfg.seed, f"sdp:reduced:{rr}:{attempt}")
             Y0 = normals(rng, (q, rr)) / math.sqrt(rr)
