@@ -1,77 +1,17 @@
 """Even independent set extraction for the high-degree regime.
 
-Two complementary constructions, both verified before returning:
-
-* Link seeding: in a linear hypergraph the edges through one vertex touch
-  pairwise-disjoint pairs, so seeding with all of a hub's pairs makes every
-  edge through the hub intersect the set exactly twice; a repair loop then
-  removes whole pairs until no other edge is met an odd number of times.
-* Parity kernel: a set meets every edge 0 or 2 times exactly when its
-  indicator lies in the GF(2) kernel of the edge incidence matrix, because a
-  3-element edge has even intersection iff the three indicator bits XOR to
-  zero.  Any 2-color LO coloring's base class is such a vector, so on promise
-  instances the kernel is nontrivial; a hill climb over the kernel basis
-  looks for a heavy vector.
-
-The repair loop alone can collapse to the empty set on instances whose hub
-links are heavily crossed; the kernel phase then still produces a nonempty
-set whenever one exists.
+Parity kernel: a set meets every edge 0 or 2 times exactly when its indicator
+lies in the GF(2) kernel of the edge incidence matrix, because a 3-element
+edge has even intersection iff the three indicator bits XOR to zero.  Any
+2-color LO coloring's base class is such a vector, so on promise instances
+the kernel is nontrivial; a hill climb over the kernel basis looks for a
+heavy vector.  Instances with at most 16 vertices are also searched exactly.
 """
 
 from __future__ import annotations
 
 from .hypercore import Hypergraph, check_even_is, is_linear
 from .oracle import brute_max_even_is
-
-
-def _repair(H: Hypergraph, pairs) -> set[int]:
-    """Remove whole pairs until every edge is evenly intersected.
-
-    Pair choice: fix the most currently-violated edges, ties broken by the
-    smallest vertex id in the pair.  Each step removes one pair, so the loop
-    always terminates (possibly at the empty set).
-    """
-    pair_sets = [set(p) for p in pairs]
-    S: set[int] = set()
-    for p in pair_sets:
-        S |= p
-    while True:
-        violated = [e for e in H.edges if len(S.intersection(e)) % 2 == 1]
-        if not violated:
-            return S
-        best_idx = None
-        best_key = None
-        for idx, p in enumerate(pair_sets):
-            if not p or not p <= S:
-                continue
-            if not any(p.intersection(e) for e in violated):
-                continue
-            trial = S - p
-            fixed = sum(1 for e in violated if len(trial.intersection(e)) % 2 == 0)
-            key = (-fixed, min(p))
-            if best_key is None or key < best_key:
-                best_key, best_idx = key, idx
-        if best_idx is None:
-            return set()
-        S -= pair_sets[best_idx]
-        pair_sets[best_idx] = set()
-
-
-def _link_phase(H: Hypergraph, max_seeds: int) -> set[int]:
-    degrees = H.degrees()
-    seeds = sorted(
-        (v for v in range(H.n) if degrees[v] > 0),
-        key=lambda v: (-degrees[v], v),
-    )[:max_seeds]
-    best: set[int] = set()
-    for v in seeds:
-        pairs = [
-            tuple(sorted(u for u in e if u != v)) for e in H.edges if v in e
-        ]
-        candidate = _repair(H, pairs)
-        if len(candidate) > len(best):
-            best = candidate
-    return best
 
 
 def _solve_kernel(rows: list[int], n: int) -> list[int]:
@@ -123,26 +63,18 @@ def _kernel_phase(H: Hypergraph) -> set[int]:
     return {v for v in range(H.n) if (current >> v) & 1}
 
 
-def even_independent_set(
-    H: Hypergraph,
-    delta: float | None = None,
-    *,
-    max_seeds: int = 20,
-) -> frozenset[int]:
+def even_independent_set(H: Hypergraph, delta: float | None = None) -> frozenset[int]:
     """Best even independent set found; nonempty whenever one exists.
 
-    Requires a linear hypergraph.  Tries the hub-link repair construction,
-    then the parity-kernel hill climb, then (for tiny instances) the exact
-    search; the largest result wins with earlier phases preferred on ties.
+    Requires a linear hypergraph.  Takes the parity-kernel hill climb and,
+    for instances with at most 16 vertices, the exact search when it finds a
+    strictly larger set.  The result is verified before it is returned.
     """
     if not is_linear(H):
         raise ValueError("even independent set extraction requires a linear hypergraph")
     if H.m == 0:
         return frozenset()
-    best = _link_phase(H, max_seeds)
-    kernel = _kernel_phase(H)
-    if len(kernel) > len(best):
-        best = kernel
+    best = _kernel_phase(H)
     if H.n <= 16:
         exact = set(brute_max_even_is(H))
         if len(exact) > len(best):

@@ -89,14 +89,10 @@ def _selection(ortho: OrthoProfile, t: float, g: np.ndarray) -> np.ndarray:
 
 
 def _drop_doubly_hit(H_B: Hypergraph, selected: np.ndarray) -> frozenset[int]:
-    S = set(int(v) for v in np.flatnonzero(selected))
-    if not S:
-        return frozenset()
-    removed: set[int] = set()
-    for e in H_B.edges:
-        if len(S.intersection(e)) >= 2:
-            removed.update(e)
-    return frozenset(S - removed)
+    E = H_B.edge_array()
+    keep = selected.copy()
+    keep[E[selected[E].sum(axis=1) >= 2].ravel()] = False
+    return frozenset(np.flatnonzero(keep).tolist())
 
 
 def sample_round(
@@ -141,6 +137,8 @@ def best_odd_is(
     best_key = None
     for i in range(cfg.reps):
         cand = sample_round(H_B, ortho, cfg, draw=i)
+        if len(cand) < len(best):
+            continue
         key = (-len(cand), tuple(sorted(cand)))
         if best_key is None or key < best_key:
             best, best_key = cand, key

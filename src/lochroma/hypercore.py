@@ -30,10 +30,11 @@ class Hypergraph:
     Edges are kept as sorted triples.  With ``canonical=True`` (the default)
     the edge list is additionally sorted and deduplicated; pass
     ``canonical=False`` to preserve a raw edge list, e.g. when validating
-    parsed input files.
+    parsed input files.  The edges as an array are built on first use and
+    cached; equality and hashing ignore the cache.
     """
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "edges", "_edge_array")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), *, canonical: bool = True):
         triples = []
@@ -46,6 +47,26 @@ class Hypergraph:
             triples = sorted(set(triples))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", tuple(triples))
+        object.__setattr__(self, "_edge_array", None)
+
+    @classmethod
+    def _from_canonical_array(cls, n: int, E: np.ndarray) -> "Hypergraph":
+        """Hypergraph on an (m, 3) int64 array whose rows are already canonical.
+
+        Each row must be sorted and the rows strictly increasing, as the
+        canonical constructor would leave them; ``E`` becomes the cache.
+        """
+        H = object.__new__(cls)
+        object.__setattr__(H, "n", int(n))
+        # Share one int object per vertex id between the edge triples, as
+        # the canonical constructor's relabeling dicts do; E.tolist() would
+        # make a fresh int for every entry above 256.
+        vertex = list(range(n)).__getitem__
+        a, b, c = (map(vertex, col) for col in E.T.tolist())
+        object.__setattr__(H, "edges", tuple(zip(a, b, c)))
+        E.flags.writeable = False
+        object.__setattr__(H, "_edge_array", E)
+        return H
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
@@ -55,15 +76,16 @@ class Hypergraph:
         return len(self.edges)
 
     def edge_array(self) -> np.ndarray:
-        """Edges as an (m, 3) int64 array."""
-        return np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+        """Edges as a read-only (m, 3) int64 array, built once and cached."""
+        E = self._edge_array
+        if E is None:
+            E = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+            E.flags.writeable = False
+            object.__setattr__(self, "_edge_array", E)
+        return E
 
     def degrees(self) -> np.ndarray:
-        counts = np.zeros(self.n, dtype=np.int64)
-        for e in self.edges:
-            for v in e:
-                counts[v] += 1
-        return counts
+        return np.bincount(self.edge_array().ravel(), minlength=self.n)
 
     def __eq__(self, other):
         return (
@@ -285,17 +307,30 @@ def induced(H: Hypergraph, vertices: Iterable[int]) -> tuple[Hypergraph, tuple[i
 
     Returns the induced hypergraph and the sorted tuple of original ids, so
     ``ids[new]`` recovers the parent vertex of each new id.  An edge survives
-    iff all three of its vertices are kept.
+    iff all three of its vertices are kept.  Every vertex of ``H``'s edges
+    must lie in ``0..n-1``.
     """
-    ids = tuple(sorted(int(v) for v in set(vertices)))
-    index = {old: new for new, old in enumerate(ids)}
-    keep = set(ids)
-    sub_edges = [
-        (index[a], index[b], index[c])
-        for a, b, c in H.edges
-        if a in keep and b in keep and c in keep
-    ]
-    return Hypergraph(len(ids), sub_edges), ids
+    ids = np.unique(np.fromiter((int(v) for v in vertices), dtype=np.int64))
+    new_id = np.full(H.n, -1, dtype=np.int64)
+    inside = (ids >= 0) & (ids < H.n)
+    new_id[ids[inside]] = np.flatnonzero(inside)
+    E = new_id[H.edge_array()]
+    E = E[(E >= 0).all(axis=1)]
+    # The relabeling is increasing, so the rows of a canonical edge list stay
+    # sorted and strictly increasing; a raw edge list goes through the
+    # canonical constructor.
+    if _rows_increasing(E):
+        sub = Hypergraph._from_canonical_array(len(ids), E)
+    else:
+        sub = Hypergraph(len(ids), E.tolist())
+    return sub, tuple(ids.tolist())
+
+
+def _rows_increasing(E: np.ndarray) -> bool:
+    """True iff the rows of E are in strictly increasing lexicographic order."""
+    step = np.diff(E, axis=0)
+    lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+    return bool((lead > 0).all())
 
 
 def check_lo(H: Hypergraph, coloring: RankedColoring) -> bool:

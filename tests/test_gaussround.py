@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lochroma import (
     Hypergraph,
+    OrthoProfile,
     RoundingConfig,
     alpha_for,
     best_odd_is,
@@ -24,7 +27,7 @@ from lochroma import (
     threshold_trace,
     two_sided_round,
 )
-from lochroma.gaussround import default_reps
+from lochroma.gaussround import _drop_doubly_hit, default_reps
 
 
 def tail_oracle(t: float) -> float:
@@ -150,6 +153,111 @@ class TestSampleRound:
         target = cfg.alpha * inst.H.n
         se = sizes.std(ddof=1) / math.sqrt(len(sizes))
         assert abs(sizes.mean() - target) <= 3.0 * se + 1e-9
+
+
+def drop_doubly_hit_reference(H, selected):
+    """The set-based original: drop every vertex of an edge hit twice or more."""
+    S = set(int(v) for v in np.flatnonzero(selected))
+    if not S:
+        return frozenset()
+    removed: set[int] = set()
+    for e in H.edges:
+        if len(S.intersection(e)) >= 2:
+            removed.update(e)
+    return frozenset(S - removed)
+
+
+def best_odd_is_reference(H, ortho, delta, reps, seed):
+    """Largest draw, building the full tie-break key on every draw."""
+    cfg = RoundingConfig.for_degree(delta, reps=reps, seed=seed)
+    best, best_key = frozenset(), None
+    for i in range(cfg.reps):
+        cand = sample_round(H, ortho, cfg, draw=i)
+        key = (-len(cand), tuple(sorted(cand)))
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+    return best
+
+
+def linear_prefix(n: int, triples) -> Hypergraph:
+    """The triples in order, skipping each that shares a pair with an earlier kept one."""
+    pairs: set[tuple[int, int]] = set()
+    edges = []
+    for t in triples:
+        a, b, c = sorted(int(v) for v in t)
+        ps = {(a, b), (a, c), (b, c)}
+        if not ps & pairs:
+            pairs |= ps
+            edges.append((a, b, c))
+    return Hypergraph(n, edges)
+
+
+@st.composite
+def linear_hypergraphs(draw):
+    n = draw(st.integers(min_value=3, max_value=30))
+    triples = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True),
+            max_size=40,
+        )
+    )
+    return linear_prefix(n, triples)
+
+
+class TestDropDoublyHit:
+    @given(linear_hypergraphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, H, data):
+        selected = np.array(
+            data.draw(st.lists(st.booleans(), min_size=H.n, max_size=H.n)), dtype=bool
+        )
+        for sel in (selected, np.zeros(H.n, dtype=bool), np.ones(H.n, dtype=bool)):
+            out = _drop_doubly_hit(H, sel)
+            assert out == drop_doubly_hit_reference(H, sel)
+            assert all(type(v) is int for v in out)
+            assert check_odd_is(H, out)
+
+    def test_no_edges_keeps_selection(self):
+        H = Hypergraph(5, [])
+        sel = np.array([True, False, True, True, False])
+        assert _drop_doubly_hit(H, sel) == frozenset({0, 2, 3})
+        assert _drop_doubly_hit(H, np.zeros(5, dtype=bool)) == frozenset()
+
+    def test_single_edge(self, single_edge):
+        assert _drop_doubly_hit(single_edge, np.array([True, True, False])) == frozenset()
+        assert _drop_doubly_hit(single_edge, np.array([False, True, False])) == frozenset({1})
+
+
+def random_linear_instance(n: int, tries: int, dim: int, seed: int):
+    """A linear hypergraph from ``tries`` random triples, and unit directions
+    in general position.
+
+    Tripartite certificates give each part one shared direction, so their
+    draws are all-or-nothing per part and ties between draws never need the
+    lexicographic tie-break; random directions make small draws, and ties
+    among them, common.
+    """
+    rng = np.random.default_rng(seed)
+    H = linear_prefix(n, (rng.choice(n, 3, replace=False) for _ in range(tries)))
+    ubar = rng.normal(size=(n, dim))
+    ubar /= np.linalg.norm(ubar, axis=1, keepdims=True)
+    return H, OrthoProfile(ubar, frozenset())
+
+
+_RANDOM_INSTANCE = random_linear_instance(80, 120, 4, 0)
+
+
+class TestBestOddISEarlySkip:
+    @given(
+        st.integers(min_value=1, max_value=32),
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([4.0, 9.0, 30.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_key_reference(self, reps, seed, delta):
+        H, op = _RANDOM_INSTANCE
+        got = best_odd_is(H, op, delta, reps=reps, seed=seed)
+        assert got == best_odd_is_reference(H, op, delta, reps, seed)
 
 
 class TestBestOddIS:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +207,107 @@ class TestInduced:
         new_degs = sub.degrees()
         for new, old in enumerate(ids):
             assert new_degs[new] <= old_degs[old]
+
+
+def induced_reference(H, vertices):
+    """The set-based induced subhypergraph, through the canonical constructor."""
+    ids = tuple(sorted(int(v) for v in set(vertices)))
+    index = {old: new for new, old in enumerate(ids)}
+    keep = set(ids)
+    sub_edges = [
+        (index[a], index[b], index[c])
+        for a, b, c in H.edges
+        if a in keep and b in keep and c in keep
+    ]
+    return Hypergraph(len(ids), sub_edges), ids
+
+
+def degrees_reference(H):
+    counts = np.zeros(H.n, dtype=np.int64)
+    for e in H.edges:
+        for v in e:
+            counts[v] += 1
+    return counts
+
+
+def assert_same_induced(H, vertices):
+    sub, ids = induced(H, vertices)
+    ref, ref_ids = induced_reference(H, vertices)
+    assert sub.n == ref.n
+    assert sub.edges == ref.edges
+    assert all(type(v) is int for e in sub.edges for v in e)
+    assert ids == ref_ids
+    assert all(type(v) is int for v in ids)
+    E = sub.edge_array()
+    assert E.dtype == np.int64 and E.shape == (ref.m, 3)
+    assert np.array_equal(E, ref.edge_array())
+    assert sub == ref and hash(sub) == hash(ref)
+
+
+class TestInducedArrays:
+    @given(small_hypergraphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_on_random_subsets(self, H, data):
+        S = data.draw(st.lists(st.integers(0, H.n - 1)))
+        assert_same_induced(H, S)
+
+    @given(small_hypergraphs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_empty_and_full(self, H):
+        assert_same_induced(H, [])
+        assert_same_induced(H, range(H.n))
+
+    def test_keeps_degree_zero_vertices(self):
+        H = Hypergraph(8, [(0, 2, 4), (2, 5, 7)])
+        assert_same_induced(H, {1, 2, 3, 4, 0, 6})
+        sub, ids = induced(H, {1, 2, 3, 4, 0, 6})
+        assert sub.n == 6 and list(sub.degrees()) == [1, 0, 1, 0, 1, 0]
+
+    def test_raw_edge_order_is_canonicalized(self):
+        H = Hypergraph(6, [(3, 4, 5), (0, 1, 2), (2, 1, 0)], canonical=False)
+        assert_same_induced(H, range(6))
+        assert induced(H, range(6))[0].edges == ((0, 1, 2), (3, 4, 5))
+
+    def test_vertices_outside_the_graph_stay_isolated(self, single_edge):
+        assert_same_induced(single_edge, {0, 1, 2, 5})
+
+
+class TestEdgeArray:
+    def test_cached_object(self, star_three):
+        H = Hypergraph(star_three.n, star_three.edges)
+        assert H.edge_array() is H.edge_array()
+
+    def test_read_only(self, single_edge):
+        E = single_edge.edge_array()
+        with pytest.raises(ValueError):
+            E[0, 0] = 1
+        sub, _ = induced(single_edge, range(3))
+        with pytest.raises(ValueError):
+            sub.edge_array()[0, 0] = 1
+
+    def test_dtype_and_shape(self, star_three):
+        E = star_three.edge_array()
+        assert E.dtype == np.int64 and E.shape == (3, 3)
+        assert E.tolist() == [list(e) for e in star_three.edges]
+
+    def test_empty_shape(self):
+        E = Hypergraph(4, []).edge_array()
+        assert E.dtype == np.int64 and E.shape == (0, 3)
+        assert Hypergraph(0, []).degrees().shape == (0,)
+
+    def test_equality_and_hash_ignore_cache(self):
+        edges = [(0, 1, 2), (2, 3, 4)]
+        warm, cold = Hypergraph(5, edges), Hypergraph(5, edges)
+        warm.edge_array()
+        assert warm == cold and hash(warm) == hash(cold)
+        assert {warm: 1}[cold] == 1
+
+    @given(small_hypergraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_degrees_match_edge_loop(self, H):
+        degs = H.degrees()
+        assert degs.dtype == np.int64
+        assert np.array_equal(degs, degrees_reference(H))
 
 
 class TestCheckers:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 
 from lochroma import (
     Hypergraph,
     PipelineConfig,
     RankedColoring,
+    VectorSolution,
     check_lo,
     color_balanced,
     combine,
@@ -14,6 +19,7 @@ from lochroma import (
     gamma_profile,
     gen_balanced_tripartite,
     gen_planted,
+    induced,
     lo_color,
     logn_color_bound,
     ortho_profile,
@@ -111,6 +117,54 @@ class TestColorBalanced:
         cfg = PipelineConfig(seed=3, delta_exponent=1e-9)
         coloring = color_balanced(inst.H, ortho_profile(cert), cfg)
         assert check_lo(inst.H, coloring)
+
+
+def z3_line_core(d: int, keep: float, seed: int) -> tuple[Hypergraph, VectorSolution]:
+    """Seeded lines of Z_3^d with an exactly balanced certificate, on the
+    vertices of positive degree.
+
+    Vertex x (base-3 numbered) gets -e0/3 + (2 sqrt 2 / 3) omega^x / sqrt d
+    as cos/sin pairs, with e0 the special vector; every line's vectors sum
+    to -e0, so every gamma is -1/3.
+    """
+    n = 3**d
+    pts = np.array(list(itertools.product(range(3), repeat=d)), dtype=np.int64)
+    weights = 3 ** np.arange(d - 1, -1, -1)
+    dirs = np.array([(1,) + o for o in itertools.product((1, 2), repeat=d - 1)])
+    a = np.repeat(np.arange(n), len(dirs))
+    step = np.tile(dirs, (n, 1))
+    b = ((pts[a] + step) % 3) @ weights
+    c = ((pts[a] + 2 * step) % 3) @ weights
+    lines = np.unique(np.sort(np.stack([a, b, c], axis=1), axis=1), axis=0)
+    kept = lines[np.random.Generator(np.random.PCG64(seed)).random(len(lines)) < keep]
+    H = Hypergraph(n, kept.tolist())
+    angle = 2.0 * math.pi * pts / 3.0
+    ring = np.empty((n, 2 * d))
+    ring[:, 0::2] = np.cos(angle)
+    ring[:, 1::2] = np.sin(angle)
+    vecs = np.concatenate(
+        [np.full((n, 1), -1.0 / 3.0), (2.0 * math.sqrt(2.0) / 3.0) * ring / math.sqrt(d)],
+        axis=1,
+    )
+    vstar = np.zeros(2 * d + 1)
+    vstar[0] = 1.0
+    core = [v for v, deg in enumerate(H.degrees()) if deg > 0]
+    H_core, ids = induced(H, core)
+    return H_core, VectorSolution.from_vectors(H_core, vstar, vecs[list(ids)], tol=1e-9)
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        raises=ValueError,
+        reason="reverse assembly checks each set against the union of the earlier "
+        "rounds' sets and S, not against the round's remaining vertices",
+    )
+    def test_n15_z3_core_assembles(self):
+        H, cert = z3_line_core(3, 0.5, 56)
+        assert (H.n, H.m) == (25, 15)
+        assert max(cert.norm_residual, cert.edge_residual) <= 1e-9
+        coloring = color_balanced(H, ortho_profile(cert), PipelineConfig(seed=0))
+        assert check_lo(H, coloring)
 
 
 class TestLoColor:
