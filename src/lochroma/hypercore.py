@@ -334,16 +334,19 @@ def _rows_increasing(E: np.ndarray) -> bool:
 
 
 def check_lo(H: Hypergraph, coloring: RankedColoring) -> bool:
-    """True iff every vertex is assigned and every edge has a unique maximum rank."""
-    for v in range(H.n):
-        if v not in coloring:
-            raise ValueError(f"vertex {v} unassigned")
-    for a, b, c in H.edges:
-        ranks = (coloring[a], coloring[b], coloring[c])
-        top = max(ranks)
-        if ranks.count(top) != 1:
-            return False
-    return True
+    """True iff every vertex is assigned and every edge has a unique maximum rank.
+
+    Colored vertices outside the hypergraph are ignored.  The ranks go into
+    one array, and each edge's maximum is compared over ``H.edge_array()``.
+    """
+    get = coloring._ranks.get
+    ranks = [get(v) for v in range(H.n)]
+    if None in ranks:
+        raise ValueError(f"vertex {ranks.index(None)} unassigned")
+    if H.m == 0:
+        return True
+    R = np.array(ranks)[H.edge_array()]
+    return bool(((R == R.max(axis=1, keepdims=True)).sum(axis=1) == 1).all())
 
 
 def check_partial_lo(H: Hypergraph, coloring: RankedColoring) -> bool:

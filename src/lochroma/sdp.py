@@ -6,14 +6,18 @@ eliminates them exactly: restrict the factor to the null space of the edge
 indicator vectors (edge sums then vanish to machine precision by
 construction) and solve the remaining unit-norm system by Levenberg-Marquardt
 over a ladder of small factor ranks.  The basis comes from the short side of
-the sparse (n+1) x m incidence: the zero eigenvectors of the (n+1) x (n+1)
+the sparse (n+1) x m incidence Z: the zero eigenvectors of the (n+1) x (n+1)
 Gram when m >= n+1, turned to a seeded rotation so the result does not move
 with BLAS threading, and a dense SVD of the m x (n+1) transpose otherwise.
 It is not built when n+1-m alone leaves the rank ladder empty.  Small ranks
 matter: surplus rank adds flat directions along which the polish crawls.
-If the ladder stalls, a
+If the ladder stalls or is empty, a
 full-space phase (damped renormalized penalty descent plus an LM polish) and,
 for small instances, alternating projections on the Gram matrix are tried.
+The full-space phase works on the same incidence: the per-vertex sums of the
+edge residuals are one sparse product with Z's vertex rows, stored in the
+order a per-edge ``np.add.at`` scatter visits them so the sums are
+bit-identical to it, and the polish's Gauss-Newton matrix is Z Z^T.
 A stall is never reported as an infeasibility certificate; it carries the
 residuals of the best candidate (smallest worst-residual) as evidence.
 """
@@ -187,16 +191,53 @@ def residual(H: Hypergraph, sol: VectorSolution) -> tuple[float, float]:
     return _residuals(H, sol.vstar, sol.vecs)
 
 
+def _edge_incidence(E: np.ndarray, n: int) -> sp.csr_matrix:
+    """The (n+1) x m edge incidence Z: column e has ones at rows a, b, c and n.
+
+    Each vertex row stores its columns in the order ``np.add.at`` visits them
+    when scattering over ``E[:, 0]``, ``E[:, 1]``, ``E[:, 2]`` in turn: the
+    edges where the vertex sits at position 0, then 1, then 2, each group in
+    edge order (a stable argsort of ``E.T.ravel()``).  Row n lists every edge
+    in order.  The indices are left in that order on purpose; sorting them
+    would change the order in which ``Z @ T`` adds each row's terms.
+    """
+    m = len(E)
+    rows = np.concatenate([E.T.ravel(), np.full(m, n)])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n + 1), out=indptr[1:])
+    cols = np.tile(np.arange(m), 4)[order]
+    return sp.csr_matrix((np.ones(4 * m), cols, indptr), shape=(n + 1, m))
+
+
+def _edge_scatter(E: np.ndarray, n: int) -> sp.csr_matrix:
+    """(n, m) CSR S whose product ``S @ T`` sums the rows of T into their vertices.
+
+    S is the vertex part of the incidence Z in scatter order, so ``S @ T``
+    adds the same floats in the same order, starting from zero, as three
+    ``np.add.at`` calls over ``E[:, 0]``, ``E[:, 1]`` and ``E[:, 2]``: the
+    sums are bit-identical.
+    """
+    return _edge_incidence(E, n)[:n]
+
+
 def _penalty_descent(X, E, deg, tol, max_sweeps, omega=0.5, patience=150):
     """Damped renormalized block descent on the summed edge penalty.
 
-    Stops at tolerance or when the residual has not improved by 0.1% for
-    ``patience`` sweeps (plateau), handing off to the second-order polish.
+    Each sweep moves every row toward the negated sum of the residuals of
+    its edges, less its own degree-weighted vector.  The vertex sums are one
+    product with the scatter matrix of :func:`_edge_scatter`, built once per
+    call; the special row's sum is ``T.sum(axis=0)``.  Rows of degree 0 are
+    left untouched.  Stops at tolerance or when the residual has not
+    improved by 0.1% for ``patience`` sweeps (plateau), handing off to the
+    second-order polish.
     """
     n1 = X.shape[0]
     n = n1 - 1
+    S = _edge_scatter(E, n)
     degall = np.concatenate([deg, [float(len(E))]])
     active = degall > 0
+    W = np.empty_like(X)
     res = 0.0
     best = math.inf
     best_sweep = 0
@@ -209,34 +250,40 @@ def _penalty_descent(X, E, deg, tol, max_sweeps, omega=0.5, patience=150):
             best, best_sweep = res, sweep
         elif sweep - best_sweep > patience:
             return X, sweep, res
-        W = np.zeros_like(X)
-        np.add.at(W, E[:, 0], T)
-        np.add.at(W, E[:, 1], T)
-        np.add.at(W, E[:, 2], T)
-        W[n] += T.sum(axis=0)
-        W[active] -= degall[active, None] * X[active]
-        target = -W[active]
+        W[:n] = S @ T
+        W[n] = T.sum(axis=0)
+        W -= degall[:, None] * X
+        target = -W
         tn = np.linalg.norm(target, axis=1, keepdims=True)
         ok = tn[:, 0] > 1e-15
-        stepped = X[active].copy()
-        stepped[ok] = (1.0 - omega) * X[active][ok] + omega * (target[ok] / tn[ok])
-        stepped /= np.linalg.norm(stepped, axis=1, keepdims=True)
-        X[active] = stepped
+        if ok.all():
+            # Every row steps, as on every core lo_color builds: no masks.
+            X = (1.0 - omega) * X + omega * (target / tn)
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+        else:
+            # A degree-0 row has a zero target, so it never steps, and it is
+            # left out of the renormalization.  An active row whose target
+            # vanishes keeps its direction.
+            stepped = X.copy()
+            stepped[ok] = (1.0 - omega) * X[ok] + omega * (target[ok] / tn[ok])
+            stepped[active] /= np.linalg.norm(stepped[active], axis=1, keepdims=True)
+            X = stepped
     return X, max_sweeps, res
 
 
 def _lm_polish(X, E, tol, max_iters):
-    """Levenberg-Marquardt on stacked edge-sum and unit-norm residuals."""
+    """Levenberg-Marquardt on stacked edge-sum and unit-norm residuals.
+
+    The Gauss-Newton matrix of the edge part is Z Z^T, with its indices
+    sorted (the CG matvec sums in stored order); J^T F's edge part is the
+    scatter ``Z[:n] @ T`` plus the special row's ``T.sum(axis=0)``.
+    """
     n1, r = X.shape
     n = n1 - 1
-    rows, cols = [], []
-    for a, b, c in E:
-        quad = (a, b, c, n)
-        for i in quad:
-            for j in quad:
-                rows.append(i)
-                cols.append(j)
-    A = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n1, n1))
+    Z = _edge_incidence(E, n)
+    S = Z[:n]
+    A = Z @ Z.T
+    A.sort_indices()
 
     def residual_parts(Y):
         T = Y[E[:, 0]] + Y[E[:, 1]] + Y[E[:, 2]] + Y[n] if len(E) else np.zeros((0, r))
@@ -255,12 +302,9 @@ def _lm_polish(X, E, tol, max_iters):
         norm_res = float(np.abs(g).max())
         if edge_res <= tol and norm_res <= tol:
             return X, iters - 1, True
-        JtF = np.zeros_like(X)
-        if len(E):
-            np.add.at(JtF, E[:, 0], T)
-            np.add.at(JtF, E[:, 1], T)
-            np.add.at(JtF, E[:, 2], T)
-            JtF[n] += T.sum(axis=0)
+        JtF = np.empty_like(X)
+        JtF[:n] = S @ T
+        JtF[n] = T.sum(axis=0)
         JtF += 2.0 * g[:, None] * X
         Xc = X
 
@@ -302,11 +346,8 @@ def _edge_null_basis(H: Hypergraph, seed: int = 0) -> np.ndarray:
     the short side and is kept as is.
     """
     N = H.n + 1
-    E = H.edge_array()
-    m = len(E)
-    rows = np.concatenate([E.T.ravel(), np.full(m, H.n)])
-    Z = sp.csr_matrix((np.ones(4 * m), (rows, np.tile(np.arange(m), 4))), shape=(N, m))
-    if m < N:
+    Z = _edge_incidence(H.edge_array(), H.n)
+    if Z.shape[1] < N:
         return null_space(Z.toarray().T)
     G = (Z @ Z.T).toarray()
     # Z has small integer entries, so the nonzero eigenvalues of G stay well

@@ -222,6 +222,19 @@ def induced_reference(H, vertices):
     return Hypergraph(len(ids), sub_edges), ids
 
 
+def check_lo_reference(H, coloring):
+    """The per-edge loop check_lo replaced: first unassigned vertex, then each edge."""
+    for v in range(H.n):
+        if v not in coloring:
+            raise ValueError(f"vertex {v} unassigned")
+    for a, b, c in H.edges:
+        ranks = (coloring[a], coloring[b], coloring[c])
+        top = max(ranks)
+        if ranks.count(top) != 1:
+            return False
+    return True
+
+
 def degrees_reference(H):
     counts = np.zeros(H.n, dtype=np.int64)
     for e in H.edges:
@@ -352,6 +365,24 @@ class TestCheckers:
         both = check_odd_is(H, S) and check_even_is(H, S)
         disjoint = all(not S.intersection(e) for e in H.edges)
         assert both == disjoint
+
+    @given(small_hypergraphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lo_matches_edge_loop(self, H, data):
+        ranks = data.draw(st.lists(st.integers(-2, 3), min_size=H.n, max_size=H.n))
+        colored = dict(enumerate(ranks))
+        for v in data.draw(st.sets(st.integers(0, H.n - 1), max_size=2)):
+            del colored[v]
+        for v in data.draw(st.sets(st.integers(H.n, H.n + 5), max_size=3)):
+            colored[v] = data.draw(st.integers(-2, 3))
+        coloring = RankedColoring(colored)
+        try:
+            expected = check_lo_reference(H, coloring)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                check_lo(H, coloring)
+        else:
+            assert check_lo(H, coloring) is expected
 
 
 class TestDegreeStats:

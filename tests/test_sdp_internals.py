@@ -1,5 +1,5 @@
-"""Solver internals: the edge null-space basis, the skip of an unused basis and
-the reduced LM step."""
+"""Solver internals: the edge null-space basis, the skip of an unused basis,
+the reduced LM step and the full-space fallback's sparse edge scatter."""
 
 from __future__ import annotations
 
@@ -7,11 +7,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
+from scipy.sparse.linalg import LinearOperator, cg
 
-from lochroma import Hypergraph, SdpConfig, solve_feasibility
+from lochroma import Hypergraph, SdpConfig, gen_planted, residual, solve_feasibility
 from lochroma import sdp
 from lochroma.hypercore import is_linear
 from lochroma.sdp import _edge_null_basis, _reduced_lm, _reduced_rank_ladder
@@ -110,3 +112,207 @@ def test_reduced_lm_step_matches_einsum_hessian():
     assert (iters, ok) == (1, False)
     assert np.abs(Y1 - (Y0 + step)).max() <= 1e-10
     assert not np.array_equal(Y1, Y0)
+
+
+def _penalty_descent_reference(X, E, deg, tol, max_sweeps, omega=0.5, patience=150):
+    """The np.add.at form of _penalty_descent, with masked copies on every sweep."""
+    n1 = X.shape[0]
+    n = n1 - 1
+    degall = np.concatenate([deg, [float(len(E))]])
+    active = degall > 0
+    res = 0.0
+    best = float("inf")
+    best_sweep = 0
+    for sweep in range(max_sweeps):
+        T = X[E[:, 0]] + X[E[:, 1]] + X[E[:, 2]] + X[n]
+        res = float(np.linalg.norm(T, axis=1).max()) if len(E) else 0.0
+        if res <= tol:
+            return X, sweep, res
+        if res < best * 0.999:
+            best, best_sweep = res, sweep
+        elif sweep - best_sweep > patience:
+            return X, sweep, res
+        W = np.zeros_like(X)
+        np.add.at(W, E[:, 0], T)
+        np.add.at(W, E[:, 1], T)
+        np.add.at(W, E[:, 2], T)
+        W[n] += T.sum(axis=0)
+        W[active] -= degall[active, None] * X[active]
+        target = -W[active]
+        tn = np.linalg.norm(target, axis=1, keepdims=True)
+        ok = tn[:, 0] > 1e-15
+        stepped = X[active].copy()
+        stepped[ok] = (1.0 - omega) * X[active][ok] + omega * (target[ok] / tn[ok])
+        stepped /= np.linalg.norm(stepped, axis=1, keepdims=True)
+        X[active] = stepped
+    return X, max_sweeps, res
+
+
+def _jtf_reference(X, E, T, g):
+    """The np.add.at form of the gradient step J^T F in _lm_polish."""
+    n = X.shape[0] - 1
+    JtF = np.zeros_like(X)
+    if len(E):
+        np.add.at(JtF, E[:, 0], T)
+        np.add.at(JtF, E[:, 1], T)
+        np.add.at(JtF, E[:, 2], T)
+        JtF[n] += T.sum(axis=0)
+    JtF += 2.0 * g[:, None] * X
+    return JtF
+
+
+def _polish_matrix_reference(E, n):
+    """The per-edge quadruple loop that built _lm_polish's Gauss-Newton matrix."""
+    rows, cols = [], []
+    for a, b, c in E:
+        quad = (a, b, c, n)
+        for i in quad:
+            for j in quad:
+                rows.append(i)
+                cols.append(j)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1))
+
+
+def _lm_polish_reference(X, E, tol, max_iters):
+    """_lm_polish with the quadruple-loop matrix and the np.add.at J^T F."""
+    n1, r = X.shape
+    n = n1 - 1
+    A = _polish_matrix_reference(E, n)
+
+    def residual_parts(Y):
+        T = Y[E[:, 0]] + Y[E[:, 1]] + Y[E[:, 2]] + Y[n] if len(E) else np.zeros((0, r))
+        return T, (Y * Y).sum(axis=1) - 1.0
+
+    def value(T, g):
+        return float((T * T).sum() + (g * g).sum())
+
+    lam = 1e-4
+    T, g = residual_parts(X)
+    val = value(T, g)
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        edge_res = float(np.linalg.norm(T, axis=1).max()) if len(E) else 0.0
+        if edge_res <= tol and float(np.abs(g).max()) <= tol:
+            return X, iters - 1, True
+        JtF = _jtf_reference(X, E, T, g)
+        Xc = X
+
+        def matvec(dvec):
+            D = dvec.reshape(n1, r)
+            out = A @ D
+            out = out + 4.0 * ((Xc * D).sum(axis=1))[:, None] * Xc
+            return (out + lam * D).ravel()
+
+        op = LinearOperator((n1 * r, n1 * r), matvec=matvec)
+        delta, _ = cg(op, -JtF.ravel(), rtol=1e-10, atol=0.0, maxiter=500)
+        trial = X + delta.reshape(n1, r)
+        Tt, gt = residual_parts(trial)
+        tv = value(Tt, gt)
+        if tv < val:
+            X, T, g, val = trial, Tt, gt, tv
+            lam = max(lam * 0.3, 1e-13)
+        else:
+            lam *= 10.0
+            if lam > 1e9:
+                break
+    return X, iters, False
+
+
+@st.composite
+def descent_inputs(draw):
+    """A linear hypergraph, maybe with degree-0 vertices or no edges, and a random start."""
+    if draw(st.integers(0, 7)) == 0:
+        H = Hypergraph(draw(st.integers(1, 8)), [])
+    else:
+        H = draw(linear_hypergraphs(wide=draw(st.booleans())))
+    isolated = draw(st.integers(0, 3))
+    H = Hypergraph(H.n + isolated, H.edges)
+    r = draw(st.integers(1, 6))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((H.n + 1, r))
+    return H, X
+
+
+def _descent_both(H, X, tol, sweeps, patience=150):
+    E, deg = H.edge_array(), H.degrees().astype(float)
+    # At rank 1 a stepped row can vanish and renormalize to NaN, on both sides.
+    with np.errstate(invalid="ignore"):
+        got = sdp._penalty_descent(X.copy(), E, deg, tol, sweeps, patience=patience)
+        want = _penalty_descent_reference(X.copy(), E, deg, tol, sweeps, patience=patience)
+    return got, want
+
+
+@given(inputs=descent_inputs(), sweeps=st.integers(1, 60), patience=st.integers(1, 150),
+       tol=st.sampled_from([0.0, 1e-12, 0.5]))
+@settings(max_examples=50, deadline=None)
+def test_penalty_descent_matches_add_at_reference(inputs, sweeps, patience, tol):
+    H, X = inputs
+    (Xg, sg, rg), (Xw, sw, rw) = _descent_both(H, X, tol, sweeps, patience)
+    assert np.array_equal(Xg, Xw, equal_nan=True)
+    assert sg == sw and np.array_equal(rg, rw, equal_nan=True)
+    inactive = np.flatnonzero(H.degrees() == 0)
+    assert np.array_equal(Xg[inactive], X[inactive])
+
+
+def test_penalty_descent_vanishing_target_keeps_row():
+    """A row whose target is exactly zero skips the step and is only renormalized."""
+    H = Hypergraph(4, [(0, 1, 2)])
+    s = np.sqrt(3.0) / 2.0
+    # Vertex 0's target is minus the sum of rows 1, 2 and the special row 4,
+    # which cancel exactly; vertex 3 has degree 0 and a row of norm 5.
+    X = np.array([[0.6, 0.0], [1.0, 0.0], [-0.5, s], [3.0, 4.0], [-0.5, -s]])
+    (Xg, sg, _), (Xw, sw, _) = _descent_both(H, X, 0.0, 1)
+    assert np.array_equal(Xg, Xw) and sg == sw == 1
+    assert np.array_equal(Xg[0], [1.0, 0.0])
+    assert np.array_equal(Xg[3], X[3])
+
+
+@given(inputs=descent_inputs(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_edge_scatter_matches_add_at(inputs, seed):
+    H, X = inputs
+    E = H.edge_array()
+    S = sdp._edge_scatter(E, H.n)
+    assert S.shape == (H.n, H.m) and S.nnz == 3 * H.m
+    T = X[E[:, 0]] + X[E[:, 1]] + X[E[:, 2]] + X[H.n]
+    g = np.random.default_rng(seed).standard_normal(H.n + 1)
+    JtF = np.empty_like(X)
+    JtF[: H.n] = S @ T
+    JtF[H.n] = T.sum(axis=0)
+    JtF += 2.0 * g[:, None] * X
+    assert np.array_equal(JtF, _jtf_reference(X, E, T, g))
+
+
+@given(inputs=descent_inputs())
+@settings(max_examples=40, deadline=None)
+def test_polish_matrix_is_sorted_incidence_gram(inputs):
+    H, _ = inputs
+    E = H.edge_array()
+    Z = sdp._edge_incidence(E, H.n)
+    A = Z @ Z.T
+    A.sort_indices()
+    ref = _polish_matrix_reference(E, H.n)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
+
+
+@given(inputs=descent_inputs(), iters=st.integers(1, 8), tol=st.sampled_from([0.0, 1e-8]))
+@settings(max_examples=20, deadline=None)
+def test_lm_polish_matches_reference(inputs, iters, tol):
+    H, X = inputs
+    E = H.edge_array()
+    Xg, ig, okg = sdp._lm_polish(X.copy(), E, tol, iters)
+    Xw, iw, okw = _lm_polish_reference(X.copy(), E, tol, iters)
+    assert np.array_equal(Xg, Xw)
+    assert (ig, okg) == (iw, okw)
+
+
+def test_full_space_phase_solves_planted(monkeypatch):
+    """With the rank ladder emptied, phase 2 alone returns a feasible solution."""
+    H = gen_planted(30, 15, 4).H
+    monkeypatch.setattr(sdp, "_reduced_rank_ladder", lambda *args, **kwargs: [])
+    cfg = SdpConfig(seed=0)
+    sol = solve_feasibility(H, cfg)
+    assert sol.norm_residual <= cfg.tol and sol.edge_residual <= cfg.tol
+    nr, er = residual(H, sol)
+    assert nr <= cfg.tol and er <= cfg.tol
