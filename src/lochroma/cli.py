@@ -7,10 +7,12 @@ references), ``stats`` (per-draw threshold rounding sizes), ``bench``
 (scaling sweep).
 
 Exit codes: 0 success; 1 I/O or parse error; 2 generation failure; 3 solver
-stall; 4 validity failure.  All randomness flows from ``--seed`` (fallback:
-the ``LO_CHROMA_SEED`` environment variable) through named per-stage
-substreams, and CSV rows contain only deterministic fields; wall-clock stage
-timings go to stderr as JSON when ``--timings`` is set.
+stall; 4 validity failure.  All randomness flows from ``--seed`` through
+named per-stage substreams.  Without ``--seed`` the seed is read from the
+``LO_CHROMA_SEED`` environment variable, a value that is not an integer
+exits with 1, and with neither set it is 0.  CSV rows contain only
+deterministic fields; wall-clock stage timings go to stderr as JSON when
+``--timings`` is set.
 """
 
 from __future__ import annotations
@@ -48,16 +50,6 @@ EXIT_STALL = 3
 EXIT_INVALID = 4
 
 CSV_SCHEMA_COMMENT = "# schema=1"
-
-
-def _default_seed() -> int:
-    env = os.environ.get("LO_CHROMA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
 
 
 def _add_seed_flag(p: argparse.ArgumentParser) -> None:
@@ -365,7 +357,12 @@ def main(argv=None) -> int:
     if sub_seed is not None:
         args.seed = sub_seed
     if args.seed is None:
-        args.seed = _default_seed()
+        env = os.environ.get("LO_CHROMA_SEED", "0")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            print(f"LO_CHROMA_SEED is not an integer: {env!r}", file=sys.stderr)
+            return EXIT_IO
     return args.func(args)
 
 

@@ -84,8 +84,10 @@ def default_reps(n: int) -> int:
     return 16 * max(1, math.ceil(math.log(max(n, 2))))
 
 
-def _selection(ortho: OrthoProfile, t: float, g: np.ndarray) -> np.ndarray:
-    return (ortho.ubar @ g) >= t
+def _draw_selection(ortho: OrthoProfile, cfg: RoundingConfig, draw: int) -> np.ndarray:
+    """Draw ``draw``'s raw selection: one Gaussian from substream ``round:{draw}``."""
+    g = normals(substream(cfg.seed, f"round:{draw}"), ortho.dim)
+    return (ortho.ubar @ g) >= cfg.t
 
 
 def _drop_doubly_hit(H_B: Hypergraph, selected: np.ndarray) -> frozenset[int]:
@@ -102,8 +104,7 @@ def sample_round(
     draw: int = 0,
 ) -> frozenset[int]:
     """One threshold-rounding draw; output meets every edge at most once."""
-    g = normals(substream(cfg.seed, f"round:{draw}"), ortho.dim)
-    return _drop_doubly_hit(H_B, _selection(ortho, cfg.t, g))
+    return _drop_doubly_hit(H_B, _draw_selection(ortho, cfg, draw))
 
 
 def threshold_trace(
@@ -115,8 +116,7 @@ def threshold_trace(
     """(raw selection, surviving set) per draw, on the config's seed stream."""
     out = []
     for i in range(draws):
-        g = normals(substream(cfg.seed, f"round:{i}"), ortho.dim)
-        sel = _selection(ortho, cfg.t, g)
+        sel = _draw_selection(ortho, cfg, i)
         raw = frozenset(int(v) for v in np.flatnonzero(sel))
         out.append((raw, _drop_doubly_hit(H_B, sel)))
     return out

@@ -11,13 +11,12 @@ Gram when m >= n+1, turned to a seeded rotation so the result does not move
 with BLAS threading, and a dense SVD of the m x (n+1) transpose otherwise.
 It is not built when n+1-m alone leaves the rank ladder empty.  Small ranks
 matter: surplus rank adds flat directions along which the polish crawls.
-If the ladder stalls or is empty, a
-full-space phase (damped renormalized penalty descent plus an LM polish) and,
-for small instances, alternating projections on the Gram matrix are tried.
-The full-space phase works on the same incidence: the per-vertex sums of the
-edge residuals are one sparse product with Z's vertex rows, stored in the
-order a per-edge ``np.add.at`` scatter visits them so the sums are
-bit-identical to it, and the polish's Gauss-Newton matrix is Z Z^T.
+If the ladder stalls or is empty, the only fallback is a full-space phase:
+damped renormalized penalty descent plus an LM polish, from seeded restarts.
+It works on the same incidence: the per-vertex sums of the edge residuals
+are one sparse product with Z's vertex rows, stored in the order a per-edge
+``np.add.at`` scatter visits them so the sums are bit-identical to it, and
+the polish's Gauss-Newton matrix is Z Z^T.
 A stall is never reported as an infeasibility certificate; it carries the
 residuals of the best candidate (smallest worst-residual) as evidence.
 """
@@ -37,6 +36,11 @@ from .rng import normals, substream
 
 DEFAULT_TOL = 1e-8
 
+# The full-space phase: penalty-descent sweeps per attempt, and seeded
+# restarts after the rank ladder.
+MAX_SWEEPS = 800
+RESTARTS = 5
+
 THIRD = 1.0 / 3.0
 
 
@@ -55,12 +59,18 @@ class SolverStalled(RuntimeError):
 
 @dataclass(frozen=True)
 class SdpConfig:
-    """Solver knobs.  ``rank=None`` picks min(n+1, ceil(sqrt(2m)) + 2)."""
+    """Solver settings.
+
+    ``rank`` caps the reduced rank ladder and sets the full-space factor
+    width; ``None`` picks min(n+1, ceil(sqrt(2m)) + 2) for the width and
+    leaves the ladder uncapped.  ``tol`` bounds both the worst |norm^2 - 1|
+    and the worst per-edge sum norm of an accepted solution.  ``seed`` roots
+    every random draw of the solve: the basis rotation and each attempt's
+    start.
+    """
 
     rank: int | None = None
     tol: float = DEFAULT_TOL
-    max_iters: int = 800
-    restarts: int = 5
     seed: int = 0
 
     def rank_for(self, H: Hypergraph) -> int:
@@ -210,31 +220,23 @@ def _edge_incidence(E: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(4 * m), cols, indptr), shape=(n + 1, m))
 
 
-def _edge_scatter(E: np.ndarray, n: int) -> sp.csr_matrix:
-    """(n, m) CSR S whose product ``S @ T`` sums the rows of T into their vertices.
-
-    S is the vertex part of the incidence Z in scatter order, so ``S @ T``
-    adds the same floats in the same order, starting from zero, as three
-    ``np.add.at`` calls over ``E[:, 0]``, ``E[:, 1]`` and ``E[:, 2]``: the
-    sums are bit-identical.
-    """
-    return _edge_incidence(E, n)[:n]
-
-
 def _penalty_descent(X, E, deg, tol, max_sweeps, omega=0.5, patience=150):
     """Damped renormalized block descent on the summed edge penalty.
 
     Each sweep moves every row toward the negated sum of the residuals of
     its edges, less its own degree-weighted vector.  The vertex sums are one
-    product with the scatter matrix of :func:`_edge_scatter`, built once per
-    call; the special row's sum is ``T.sum(axis=0)``.  Rows of degree 0 are
-    left untouched.  Stops at tolerance or when the residual has not
-    improved by 0.1% for ``patience`` sweeps (plateau), handing off to the
-    second-order polish.
+    product ``S @ T`` with S the vertex rows of the incidence Z, built once
+    per call; S stores each row in scatter order, so the product adds the
+    same floats in the same order, starting from zero, as three
+    ``np.add.at`` calls over ``E[:, 0]``, ``E[:, 1]`` and ``E[:, 2]``.  The
+    special row's sum is ``T.sum(axis=0)``.  Rows of degree 0 are left
+    untouched.  Stops at tolerance or when the residual has not improved by
+    0.1% for ``patience`` sweeps (plateau), handing off to the second-order
+    polish.
     """
     n1 = X.shape[0]
     n = n1 - 1
-    S = _edge_scatter(E, n)
+    S = _edge_incidence(E, n)[:n]
     degall = np.concatenate([deg, [float(len(E))]])
     active = degall > 0
     W = np.empty_like(X)
@@ -408,65 +410,6 @@ def _reduced_rank_ladder(q: int, cap: int | None, max_dof: int = 1200) -> list[i
     return [r for r in ranks if r >= 1 and q * r <= max_dof]
 
 
-def _gram_altproj(H: Hypergraph, tol: float, max_iters: int = 3000):
-    """Alternating projection between the PSD cone and the affine constraint set.
-
-    Works on the (n+1) x (n+1) Gram matrix; usable at small n only.
-    """
-    n = H.n
-    N = n + 1
-    constraints: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for i in range(N):
-        constraints.append((np.array([i]), np.array([i]), 1.0))
-    for a, b, c in H.edges:
-        quad = np.array([a, b, c, n])
-        ri = np.repeat(quad, 4)
-        ci = np.tile(quad, 4)
-        constraints.append((ri, ci, 0.0))
-    k = len(constraints)
-    gram = np.zeros((k, k))
-    mats = []
-    for ri, ci, _ in constraints:
-        M = np.zeros((N, N))
-        np.add.at(M, (ri, ci), 1.0)
-        mats.append(M)
-    for i in range(k):
-        for j in range(i, k):
-            gram[i, j] = gram[j, i] = float((mats[i] * mats[j]).sum())
-    b = np.array([t for _, _, t in constraints])
-    chol = np.linalg.cholesky(gram + 1e-12 * np.eye(k))
-
-    def project_affine(G):
-        vals = np.array([float((M * G).sum()) for M in mats])
-        lam = np.linalg.solve(chol.T, np.linalg.solve(chol, vals - b))
-        out = G.copy()
-        for coeff, M in zip(lam, mats):
-            out -= coeff * M
-        return out
-
-    G = np.eye(N)
-    it = 0
-    for it in range(1, max_iters + 1):
-        G = project_affine(G)
-        w, U = np.linalg.eigh((G + G.T) / 2.0)
-        w = np.clip(w, 0.0, None)
-        G = (U * w) @ U.T
-        diag_res = float(np.abs(np.diag(G) - 1.0).max())
-        edge_sq = 0.0
-        for ri, ci, _ in constraints[N:]:
-            edge_sq = max(edge_sq, abs(float(G[ri, ci].sum())))
-        # edge_sq is a squared norm; the diagonal deviation is not.
-        if diag_res <= tol and edge_sq <= tol * tol:
-            break
-    w, U = np.linalg.eigh((G + G.T) / 2.0)
-    keep = w > max(w.max(), 0.0) * 1e-12 if w.size else w > 0
-    B = U[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None))
-    if B.shape[1] == 0:
-        B = np.zeros((N, 1))
-        B[:, 0] = 1.0
-    return B[:n], B[n], it
-
-
 def solve_feasibility(
     H: Hypergraph,
     cfg: SdpConfig | None = None,
@@ -496,88 +439,61 @@ def solve_feasibility(
 
     E = H.edge_array()
     deg = H.degrees().astype(float)
-    total_iters = 0
-    # Candidates ranked by their worst residual; used for stall evidence.
-    best: tuple[float, float, float, np.ndarray] | None = None
-
-    def consider(X):
-        nonlocal best
-        nr, er = _residuals(H, X[H.n], X[: H.n])
-        worst = max(nr, er)
-        if best is None or worst < best[0]:
-            best = (worst, nr, er, X.copy())
-        return nr, er
-
     r = cfg.rank_for(H)
 
     def full_space_attempt(X):
-        nonlocal total_iters
         X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
         # The first-order phase only needs to reach the polish method's basin.
-        X, sweeps, _ = _penalty_descent(X, E, deg, max(cfg.tol, 5e-2), cfg.max_iters)
+        X, sweeps, _ = _penalty_descent(X, E, deg, max(cfg.tol, 5e-2), MAX_SWEEPS)
         X, lm_iters, ok = _lm_polish(X, E, cfg.tol, 80)
-        total_iters += sweeps + lm_iters
-        nr, er = consider(X)
-        return X, nr, er, ok
+        return X, sweeps + lm_iters, ok
 
-    # A warm start is an explicit request to search near that point, so it
-    # runs before the blind phases.
-    if warm is not None:
-        wv = np.asarray(warm[1], dtype=float).reshape(H.n, -1)
-        X = np.zeros((H.n + 1, max(r, wv.shape[1])))
-        X[: H.n, : wv.shape[1]] = wv
-        X[H.n, : wv.shape[1]] = np.asarray(warm[0], dtype=float)
-        X, nr, er, ok = full_space_attempt(X)
+    def attempts():
+        """Stacked candidates (X, iterations spent, converged), in the order tried."""
+        # A warm start is an explicit request to search near that point, so
+        # it runs before the blind phases.
+        if warm is not None:
+            wv = np.asarray(warm[1], dtype=float).reshape(H.n, -1)
+            X = np.zeros((H.n + 1, max(r, wv.shape[1])))
+            X[: H.n, : wv.shape[1]] = wv
+            X[H.n, : wv.shape[1]] = np.asarray(warm[0], dtype=float)
+            yield full_space_attempt(X)
+
+        # Phase 1: exact edge-constraint elimination, unit norms by reduced LM.
+        # q >= n+1-m, and above 8 the ladder only shrinks as q grows, so when
+        # that bound alone empties it the basis is not built.
+        q_low = H.n + 1 - H.m
+        ranks = []
+        if q_low <= 8 or _reduced_rank_ladder(q_low, cfg.rank):
+            B = _edge_null_basis(H, cfg.seed)
+            q = B.shape[1]
+            ranks = _reduced_rank_ladder(q, cfg.rank)
+        for rr in ranks:
+            for attempt in range(2):
+                rng = substream(cfg.seed, f"sdp:reduced:{rr}:{attempt}")
+                Y0 = normals(rng, (q, rr)) / math.sqrt(rr)
+                Y, it, ok = _reduced_lm(B, Y0, cfg.tol, 300)
+                yield B @ Y, it, ok
+
+        # Phase 2: full-space penalty descent plus LM polish, random restarts.
+        for attempt in range(RESTARTS):
+            rng = substream(cfg.seed, f"sdp:init:{attempt}")
+            yield full_space_attempt(normals(rng, (H.n + 1, r)))
+
+    total_iters = 0
+    # Residuals of the candidate with the smallest worst residual: the
+    # evidence a stall carries.
+    best: tuple[float, float, float] | None = None
+    for X, iters, ok in attempts():
+        total_iters += iters
+        nr, er = _residuals(H, X[H.n], X[: H.n])
         if ok and nr <= cfg.tol and er <= cfg.tol:
             return VectorSolution(
                 X[H.n].copy(), X[: H.n].copy(), nr, er, tol=cfg.tol, iters=total_iters
             )
-
-    # Phase 1: exact edge-constraint elimination, unit norms by reduced LM.
-    # q >= n+1-m, and above 8 the ladder only shrinks as q grows, so when that
-    # bound alone empties it the basis is not built.
-    q_low = H.n + 1 - H.m
-    ranks = []
-    if q_low <= 8 or _reduced_rank_ladder(q_low, cfg.rank):
-        B = _edge_null_basis(H, cfg.seed)
-        q = B.shape[1]
-        ranks = _reduced_rank_ladder(q, cfg.rank)
-    for rr in ranks:
-        for attempt in range(2):
-            rng = substream(cfg.seed, f"sdp:reduced:{rr}:{attempt}")
-            Y0 = normals(rng, (q, rr)) / math.sqrt(rr)
-            Y, it, ok = _reduced_lm(B, Y0, cfg.tol, 300)
-            total_iters += it
-            X = B @ Y
-            nr, er = consider(X)
-            if ok and nr <= cfg.tol and er <= cfg.tol:
-                return VectorSolution(
-                    X[H.n].copy(), X[: H.n].copy(), nr, er, tol=cfg.tol, iters=total_iters
-                )
-
-    # Phase 2: full-space penalty descent plus LM polish, random restarts.
-    for attempt in range(max(1, cfg.restarts)):
-        rng = substream(cfg.seed, f"sdp:init:{attempt}")
-        X, nr, er, ok = full_space_attempt(normals(rng, (H.n + 1, r)))
-        if ok and nr <= cfg.tol and er <= cfg.tol:
-            return VectorSolution(
-                X[H.n].copy(), X[: H.n].copy(), nr, er, tol=cfg.tol, iters=total_iters
-            )
-
-    # Phase 3: alternating projections on the Gram matrix (small instances).
-    if H.n <= 60:
-        vecs, vstar, it = _gram_altproj(H, max(cfg.tol, 1e-9))
-        total_iters += it
-        X = np.concatenate([vecs, vstar[None, :]], axis=0)
-        X, lm_iters, _ = _lm_polish(X, E, cfg.tol, 80)
-        total_iters += lm_iters
-        nr, er = consider(X)
-        if nr <= cfg.tol and er <= cfg.tol:
-            return VectorSolution(
-                X[H.n].copy(), X[: H.n].copy(), nr, er, tol=cfg.tol, iters=total_iters
-            )
-
-    _, nr, er, _ = best
+        if best is None or max(nr, er) < best[0]:
+            best = (max(nr, er), nr, er)
+    _, nr, er = best
     raise SolverStalled("solver stalled above tolerance", nr, er, total_iters)
 
 

@@ -77,7 +77,7 @@ class TestColorVerify:
 
         k4 = Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
         with pytest.raises(SolverStalled):
-            solve_feasibility(k4, SdpConfig(seed=0, restarts=2))
+            solve_feasibility(k4, SdpConfig(seed=0))
 
 
 class TestOracleCmd:
@@ -154,6 +154,15 @@ class TestDeterminism:
         c2 = tmp_path / "flag.coloring"
         assert run("--seed", 5, "color", planted_file, "--strategy", "logn", "-o", c2) == 0
         assert c1.read_bytes() == c2.read_bytes()
+
+    def test_malformed_env_seed_rejected(self, planted_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LO_CHROMA_SEED", "5x")
+        out = tmp_path / "env.coloring"
+        assert run("color", planted_file, "-o", out) == 1
+        assert "LO_CHROMA_SEED" in capsys.readouterr().err
+        assert not out.exists()
+        # An explicit --seed wins, so the variable is never read.
+        assert run("--seed", 5, "color", planted_file, "-o", out) == 0
 
 
 class TestSolveAndStats:

@@ -247,6 +247,19 @@ def random_linear_instance(n: int, tries: int, dim: int, seed: int):
 _RANDOM_INSTANCE = random_linear_instance(80, 120, 4, 0)
 
 
+class TestThresholdTrace:
+    def test_kept_sets_are_the_draws(self):
+        # ``lochroma stats`` reports threshold_trace while best_odd_is picks
+        # among sample_round draws; both must read the same per-draw stream.
+        H, op = _RANDOM_INSTANCE
+        cfg = RoundingConfig.for_degree(4.0, seed=5, alpha_override=0.15)
+        trace = threshold_trace(H, op, cfg, draws=40)
+        assert any(kept and kept != raw for raw, kept in trace)
+        for i, (raw, kept) in enumerate(trace):
+            assert kept == sample_round(H, op, cfg, draw=i)
+            assert kept <= raw
+
+
 class TestBestOddISEarlySkip:
     @given(
         st.integers(min_value=1, max_value=32),

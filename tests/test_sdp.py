@@ -59,11 +59,12 @@ class TestSolver:
         assert solved30.norm_residual <= 1e-6
         assert solved30.edge_residual <= 1e-6
 
-    def test_k4_stalls_with_evidence(self, k4_triples):
+    @pytest.mark.parametrize("seed", range(5))
+    def test_k4_stalls_with_evidence(self, k4_triples, seed):
         # Subtracting constraints of edges sharing a pair forces all four
         # vectors equal, so one edge would need ||3v|| = 1 with ||v|| = 1.
         with pytest.raises(SolverStalled) as exc:
-            solve_feasibility(k4_triples, SdpConfig(seed=0))
+            solve_feasibility(k4_triples, SdpConfig(seed=seed))
         assert exc.value.edge_residual >= 0.1
 
     def test_deterministic(self, planted30):

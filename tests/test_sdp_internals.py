@@ -271,7 +271,7 @@ def test_penalty_descent_vanishing_target_keeps_row():
 def test_edge_scatter_matches_add_at(inputs, seed):
     H, X = inputs
     E = H.edge_array()
-    S = sdp._edge_scatter(E, H.n)
+    S = sdp._edge_incidence(E, H.n)[: H.n]
     assert S.shape == (H.n, H.m) and S.nnz == 3 * H.m
     T = X[E[:, 0]] + X[E[:, 1]] + X[E[:, 2]] + X[H.n]
     g = np.random.default_rng(seed).standard_normal(H.n + 1)
