@@ -2,9 +2,9 @@
 """Hypergraphs, linearly ordered colorings, and the structural checkers.
 
 A linearly ordered (LO) coloring assigns integer colors so that every edge
-has a unique maximum.  This walk-through builds tiny instances, exercises the
-validity checkers, and shows the linearity reduction merging forced-equal
-vertices.
+has a unique maximum.  This walk-through builds tiny instances (the
+constructor rejects an invalid edge), exercises the validity checkers, and
+shows the linearity reduction merging forced-equal vertices.
 """
 
 from lochroma import (
@@ -18,13 +18,15 @@ from lochroma import (
     is_linear,
     lift_coloring,
     make_linear,
-    validate_hypergraph,
 )
 from lochroma.formats import format_coloring, format_h3
 
 print("== a single edge ==")
 H = Hypergraph(3, [(0, 1, 2)])
-print("validate:", validate_hypergraph(H))          # None = no violation
+try:
+    Hypergraph(3, [(0, 1, -1)])
+except ValueError as exc:
+    print("constructor rejects a bad edge:", exc)
 print("LO (2,1,1):", check_lo(H, RankedColoring({0: 2, 1: 1, 2: 1})))
 print("LO (2,2,1):", check_lo(H, RankedColoring({0: 2, 1: 2, 2: 1})))
 print("partial, only vertex 0:", check_partial_lo(H, RankedColoring({0: 1})))

@@ -26,7 +26,7 @@ from pathlib import Path
 from . import formats, oracle
 from .combround import ResampleBudgetExceeded
 from .gaussround import RoundingConfig, threshold_trace
-from .hypercore import NotTwoLOColorable, check_lo, check_partial_lo, degree_stats
+from .hypercore import NotTwoLOColorable, check_lo, check_partial_lo, degree_stats, first_violation
 from .instances import GenerationError, gen_balanced_tripartite, gen_planted
 from .pipeline import (
     PipelineConfig,
@@ -115,7 +115,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     try:
-        H = formats.load_h3_checked(args.instance)
+        H = formats.read_h3(args.instance)
     except (OSError, formats.FormatError) as exc:
         print(f"cannot read instance: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -138,7 +138,7 @@ def cmd_solve(args) -> int:
 
 def cmd_color(args) -> int:
     try:
-        H = formats.load_h3_checked(args.instance)
+        H = formats.read_h3(args.instance)
     except (OSError, formats.FormatError) as exc:
         print(f"cannot read instance: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -169,7 +169,7 @@ def cmd_color(args) -> int:
 def cmd_verify(args) -> int:
     if args.cert:
         try:
-            H = formats.load_h3_checked(args.instance)
+            H = formats.read_h3(args.instance)
             vstar, vecs = formats.read_cert(args.coloring)
             sol = VectorSolution.from_vectors(H, vstar, vecs, tol=args.sdp_tol)
         except (OSError, formats.FormatError, ValueError) as exc:
@@ -180,7 +180,7 @@ def cmd_verify(args) -> int:
         ok = sol.norm_residual <= args.sdp_tol and sol.edge_residual <= args.sdp_tol
         return EXIT_OK if ok else EXIT_INVALID
     try:
-        H = formats.load_h3_checked(args.instance)
+        H = formats.read_h3(args.instance)
         coloring = formats.read_coloring(args.coloring)
     except (OSError, formats.FormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -196,18 +196,16 @@ def cmd_verify(args) -> int:
     if ok:
         print("OK")
         return EXIT_OK
-    for idx, e in enumerate(H.edges):
-        ranks = [coloring.get(v) for v in e]
-        present = [r for r in ranks if r is not None]
-        if present and present.count(max(present)) != 1:
-            print(f"violation: edge {idx} = {tuple(v + 1 for v in e)} ranks {ranks}")
-            break
+    idx = first_violation(H, coloring)
+    e = H.edges[idx]
+    ranks = [coloring.get(v) for v in e]
+    print(f"violation: edge {idx} = {tuple(v + 1 for v in e)} ranks {ranks}")
     return EXIT_INVALID
 
 
 def cmd_oracle(args) -> int:
     try:
-        H = formats.load_h3_checked(args.instance)
+        H = formats.read_h3(args.instance)
     except (OSError, formats.FormatError) as exc:
         print(f"cannot read instance: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -232,7 +230,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_stats(args) -> int:
     try:
-        H = formats.load_h3_checked(args.instance)
+        H = formats.read_h3(args.instance)
         if args.cert:
             vstar, vecs = formats.read_cert(args.cert)
             sol = VectorSolution.from_vectors(H, vstar, vecs)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypercore import Hypergraph, RankedColoring, check_lo
+from .hypercore import Hypergraph, RankedColoring, check_lo, first_violation
 from .rng import derive_seed, normals, substream
 from .sdp import DEFAULT_TOL, GammaProfile, OrthoProfile, THIRD
 
@@ -247,7 +247,8 @@ def balanced_log_coloring(
             full = partial
         if check_lo(H_B, full):
             return full
-        last_error = ValueError(_first_violation(H_B, full))
+        e = H_B.edges[first_violation(H_B, full)]
+        last_error = ValueError(f"edge {e} has duplicated maximum rank {max(map(full.get, e))}")
     raise ResampleBudgetExceeded(
         f"no valid coloring in {retry_budget} attempts; last failure: {last_error}"
     )
@@ -256,11 +257,3 @@ def balanced_log_coloring(
 def derive_attempt_seed(seed: int, attempt: int) -> int:
     # Keep retry draws on disjoint substreams of the caller's seed.
     return derive_seed(seed, f"retry:{attempt}")
-
-
-def _first_violation(H: Hypergraph, coloring: RankedColoring) -> str:
-    for e in H.edges:
-        ranks = [coloring[v] for v in e]
-        if ranks.count(max(ranks)) != 1:
-            return f"edge {e} has duplicated maximum rank {max(ranks)}"
-    return "no violating edge found"

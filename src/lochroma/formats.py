@@ -1,7 +1,9 @@
 """Text file formats: ``.h3`` hypergraphs, coloring files, ``.cert`` vector sidecars.
 
 ``.h3``: header line ``p h3 <n> <m>``, then m lines ``<a> <b> <c>`` with
-1-indexed vertex ids.  Lines starting with ``c`` are comments.
+1-indexed vertex ids.  Lines starting with ``c`` are comments.  The reader
+rejects a repeated edge line and any edge that ``Hypergraph`` rejects (an id
+outside ``1..n`` or a repeated vertex) with ``FormatError``.
 
 Coloring: n lines ``<vertex> <color>``, both 1-indexed, colors 1..k.
 
@@ -16,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hypercore import Hypergraph, RankedColoring, validate_hypergraph
+from .hypercore import Hypergraph, RankedColoring
 
 
 class FormatError(ValueError):
@@ -31,10 +33,11 @@ def _data_lines(text: str) -> Iterable[tuple[int, str]]:
         yield lineno, line
 
 
-def parse_h3(text: str, *, canonical: bool = False) -> Hypergraph:
-    """Parse ``.h3`` text.  Raw edge order is preserved unless ``canonical``."""
+def parse_h3(text: str) -> Hypergraph:
+    """Parse ``.h3`` text into a (sorted, deduplicated) ``Hypergraph``."""
     n = m = None
     edges = []
+    seen = set()
     for lineno, line in _data_lines(text):
         parts = line.split()
         if n is None:
@@ -53,12 +56,19 @@ def parse_h3(text: str, *, canonical: bool = False) -> Hypergraph:
             edge = tuple(int(p) - 1 for p in parts)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad vertex id") from exc
+        key = tuple(sorted(edge))
+        if key in seen:
+            raise FormatError(f"line {lineno}: duplicate edge {len(edges)}")
+        seen.add(key)
         edges.append(edge)
     if n is None:
         raise FormatError("missing 'p h3' header")
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, file has {len(edges)}")
-    return Hypergraph(n, edges, canonical=canonical)
+    try:
+        return Hypergraph(n, edges)
+    except ValueError as exc:
+        raise FormatError(f"{exc}, with ids counted from 0") from exc
 
 
 def format_h3(H: Hypergraph, comment: str | None = None) -> str:
@@ -72,18 +82,14 @@ def format_h3(H: Hypergraph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_h3(path: str | os.PathLike, *, canonical: bool = False) -> Hypergraph:
+def read_h3(path: str | os.PathLike) -> Hypergraph:
+    """Read and check an instance file; a ``FormatError`` names the path."""
     with open(path, "r", encoding="ascii") as fh:
-        return parse_h3(fh.read(), canonical=canonical)
-
-
-def load_h3_checked(path: str | os.PathLike) -> Hypergraph:
-    """Read, validate, and canonicalize an instance file."""
-    raw = read_h3(path, canonical=False)
-    problem = validate_hypergraph(raw)
-    if problem is not None:
-        raise FormatError(f"{path}: {problem}")
-    return Hypergraph(raw.n, raw.edges)
+        text = fh.read()
+    try:
+        return parse_h3(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_h3(path: str | os.PathLike, H: Hypergraph, comment: str | None = None) -> None:

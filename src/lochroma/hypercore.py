@@ -1,9 +1,10 @@
 """Core 3-uniform hypergraph types, structural transforms, and validity checks.
 
-Vertices are the integers ``0..n-1``.  Every edge is a triple of vertex ids,
-stored sorted; the canonical constructor also sorts and deduplicates the edge
-list so iteration order is reproducible.  Colorings are partial maps from
-vertices to integer ranks, where a larger rank means a larger color.
+Vertices are the integers ``0..n-1``.  Every edge is a sorted triple of
+distinct vertex ids; the constructor, the one place that checks this, also
+sorts and deduplicates the edge list so iteration order is reproducible.
+Colorings are partial maps from vertices to integer ranks, where a larger
+rank means a larger color.
 """
 
 from __future__ import annotations
@@ -27,39 +28,43 @@ class NotTwoLOColorable(Exception):
 class Hypergraph:
     """Immutable 3-uniform hypergraph on vertices ``0..n-1``.
 
-    Edges are kept as sorted triples.  With ``canonical=True`` (the default)
-    the edge list is additionally sorted and deduplicated; pass
-    ``canonical=False`` to preserve a raw edge list, e.g. when validating
-    parsed input files.  The edges as an array are built on first use and
-    cached; equality and hashing ignore the cache.
+    Each edge is kept as a sorted triple ``a < b < c`` with ``0 <= a`` and
+    ``c < n``; the edge list is sorted and deduplicated.  An edge that is not
+    a triple, repeats a vertex or has a vertex out of range raises
+    ``ValueError``.  The edges as an array are built on first use and cached;
+    equality and hashing ignore the cache.
     """
 
     __slots__ = ("n", "edges", "_edge_array")
 
-    def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), *, canonical: bool = True):
+    def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
+        n = int(n)
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         triples = []
-        for e in edges:
+        for i, e in enumerate(edges):
             t = tuple(sorted(int(v) for v in e))
             if len(t) != 3:
-                raise ValueError(f"edge {t} is not a triple")
+                raise ValueError(f"edge {i} {t} is not a triple")
+            if not 0 <= t[0] < t[1] < t[2] < n:
+                bad = "repeated vertex" if len(set(t)) < 3 else f"vertex out of range 0..{n - 1}"
+                raise ValueError(f"{bad} in edge {i} {t}")
             triples.append(t)
-        if canonical:
-            triples = sorted(set(triples))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", tuple(triples))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(sorted(set(triples))))
         object.__setattr__(self, "_edge_array", None)
 
     @classmethod
     def _from_canonical_array(cls, n: int, E: np.ndarray) -> "Hypergraph":
         """Hypergraph on an (m, 3) int64 array whose rows are already canonical.
 
-        Each row must be sorted and the rows strictly increasing, as the
-        canonical constructor would leave them; ``E`` becomes the cache.
+        Each row must be a valid edge and the rows strictly increasing, as
+        the constructor would leave them; ``E`` becomes the cache.
         """
         H = object.__new__(cls)
         object.__setattr__(H, "n", int(n))
         # Share one int object per vertex id between the edge triples, as
-        # the canonical constructor's relabeling dicts do; E.tolist() would
+        # the constructor's relabeling dicts do; E.tolist() would
         # make a fresh int for every entry above 256.
         vertex = list(range(n)).__getitem__
         a, b, c = (map(vertex, col) for col in E.T.tolist())
@@ -208,23 +213,7 @@ class MergeMap:
 @dataclass(frozen=True)
 class DegreeStats:
     degrees: np.ndarray
-    average: float
     delta_bar: float
-
-
-def validate_hypergraph(H: Hypergraph) -> str | None:
-    """Check all structural invariants; return None if OK, else the first violation."""
-    seen: set[Edge] = set()
-    for i, e in enumerate(H.edges):
-        if len(set(e)) != 3:
-            return f"repeated vertex in edge {i}"
-        for v in e:
-            if not (0 <= v < H.n):
-                return f"vertex {v} out of range in edge {i}"
-        if e in seen:
-            return f"duplicate edge {i}"
-        seen.add(e)
-    return None
 
 
 def is_linear(H: Hypergraph) -> bool:
@@ -307,8 +296,8 @@ def induced(H: Hypergraph, vertices: Iterable[int]) -> tuple[Hypergraph, tuple[i
 
     Returns the induced hypergraph and the sorted tuple of original ids, so
     ``ids[new]`` recovers the parent vertex of each new id.  An edge survives
-    iff all three of its vertices are kept.  Every vertex of ``H``'s edges
-    must lie in ``0..n-1``.
+    iff all three of its vertices are kept.  The relabeling is increasing, so
+    the surviving rows stay sorted and strictly increasing.
     """
     ids = np.unique(np.fromiter((int(v) for v in vertices), dtype=np.int64))
     new_id = np.full(H.n, -1, dtype=np.int64)
@@ -316,21 +305,7 @@ def induced(H: Hypergraph, vertices: Iterable[int]) -> tuple[Hypergraph, tuple[i
     new_id[ids[inside]] = np.flatnonzero(inside)
     E = new_id[H.edge_array()]
     E = E[(E >= 0).all(axis=1)]
-    # The relabeling is increasing, so the rows of a canonical edge list stay
-    # sorted and strictly increasing; a raw edge list goes through the
-    # canonical constructor.
-    if _rows_increasing(E):
-        sub = Hypergraph._from_canonical_array(len(ids), E)
-    else:
-        sub = Hypergraph(len(ids), E.tolist())
-    return sub, tuple(ids.tolist())
-
-
-def _rows_increasing(E: np.ndarray) -> bool:
-    """True iff the rows of E are in strictly increasing lexicographic order."""
-    step = np.diff(E, axis=0)
-    lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
-    return bool((lead > 0).all())
+    return Hypergraph._from_canonical_array(len(ids), E), tuple(ids.tolist())
 
 
 def check_lo(H: Hypergraph, coloring: RankedColoring) -> bool:
@@ -349,13 +324,22 @@ def check_lo(H: Hypergraph, coloring: RankedColoring) -> bool:
     return bool(((R == R.max(axis=1, keepdims=True)).sum(axis=1) == 1).all())
 
 
+def first_violation(H: Hypergraph, coloring: RankedColoring) -> int | None:
+    """Index of the first edge whose assigned ranks tie at their maximum, or None.
+
+    Unassigned vertices are ignored.
+    """
+    get = coloring._ranks.get
+    for i, e in enumerate(H.edges):
+        ranks = [r for r in map(get, e) if r is not None]
+        if ranks and ranks.count(max(ranks)) != 1:
+            return i
+    return None
+
+
 def check_partial_lo(H: Hypergraph, coloring: RankedColoring) -> bool:
     """True iff each edge's assigned portion is empty or has a unique maximum rank."""
-    for e in H.edges:
-        ranks = [coloring[v] for v in e if v in coloring]
-        if ranks and ranks.count(max(ranks)) != 1:
-            return False
-    return True
+    return first_violation(H, coloring) is None
 
 
 def check_odd_is(H: Hypergraph, vertices: Iterable[int]) -> bool:
@@ -374,6 +358,5 @@ def degree_stats(H: Hypergraph) -> DegreeStats:
     """Per-vertex degrees plus the average degree bound with |E| <= delta_bar * |V| / 3."""
     degrees = H.degrees()
     if H.n == 0:
-        return DegreeStats(degrees, 0.0, 0.0)
-    delta_bar = 3.0 * H.m / H.n
-    return DegreeStats(degrees, delta_bar, delta_bar)
+        return DegreeStats(degrees, 0.0)
+    return DegreeStats(degrees, 3.0 * H.m / H.n)

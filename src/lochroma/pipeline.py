@@ -120,32 +120,35 @@ class RunReport:
         return ",".join(vals)
 
 
+def _drawn_set(
+    H: Hypergraph, coloring: RankedColoring, S, is_independent, kind: str
+) -> frozenset[int]:
+    """``S`` as a frozenset, checked on the vertices left when it was drawn.
+
+    The assembly colors the sets in reverse order of drawing, so those are
+    the vertices colored so far and ``S`` itself.
+    """
+    S = frozenset(int(v) for v in S)
+    domain = coloring.domain()
+    if S & domain:
+        raise ValueError("set overlaps the colored domain")
+    sub, ids = induced(H, domain | S)
+    index = {old: new for new, old in enumerate(ids)}
+    if not is_independent(sub, [index[v] for v in S]):
+        raise ValueError(f"set is not {kind} independent on the vertices left when it was drawn")
+    return S
+
+
 def extend_with_odd(H: Hypergraph, coloring: RankedColoring, S) -> RankedColoring:
     """Give an odd independent set a rank strictly above everything colored so far."""
-    S = frozenset(int(v) for v in S)
-    if S & coloring.domain():
-        raise ValueError("set overlaps the colored domain")
-    uncolored = [v for v in range(H.n) if v not in coloring]
-    sub, ids = induced(H, uncolored)
-    index = {old: new for new, old in enumerate(ids)}
-    if not check_odd_is(sub, [index[v] for v in S]):
-        raise ValueError("set is not odd independent on the uncolored part")
-    rank = coloring.max_rank() + 1 if coloring else 1
-    return coloring.assign(S, rank)
+    S = _drawn_set(H, coloring, S, check_odd_is, "odd")
+    return coloring.assign(S, coloring.max_rank() + 1 if coloring else 1)
 
 
 def extend_with_even(H: Hypergraph, coloring: RankedColoring, S) -> RankedColoring:
     """Give an even independent set a rank strictly below everything colored so far."""
-    S = frozenset(int(v) for v in S)
-    if S & coloring.domain():
-        raise ValueError("set overlaps the colored domain")
-    uncolored = [v for v in range(H.n) if v not in coloring]
-    sub, ids = induced(H, uncolored)
-    index = {old: new for new, old in enumerate(ids)}
-    if not check_even_is(sub, [index[v] for v in S]):
-        raise ValueError("set is not even independent on the uncolored part")
-    rank = coloring.min_rank() - 1 if coloring else 1
-    return coloring.assign(S, rank)
+    S = _drawn_set(H, coloring, S, check_even_is, "even")
+    return coloring.assign(S, coloring.min_rank() - 1 if coloring else 1)
 
 
 def combine(

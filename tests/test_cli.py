@@ -50,6 +50,12 @@ class TestColorVerify:
     def test_missing_instance_exit_1(self, tmp_path):
         assert run("color", tmp_path / "missing.h3") == 1
 
+    def test_invalid_instance_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "zero.h3"
+        path.write_text("p h3 3 1\n0 1 2\n")
+        assert run("color", path) == 1
+        assert f"{path}: vertex out of range" in capsys.readouterr().err
+
     def test_verify_detects_duplicated_max(self, planted_file, tmp_path, capsys):
         n = 30
         bad = tmp_path / "bad.coloring"

@@ -11,7 +11,6 @@ from lochroma.formats import (
     format_cert,
     format_coloring,
     format_h3,
-    load_h3_checked,
     parse_cert,
     parse_coloring,
     parse_h3,
@@ -25,7 +24,7 @@ def test_h3_roundtrip(tmp_path):
     H = Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
     path = tmp_path / "a.h3"
     write_h3(path, H, comment="two edges")
-    assert read_h3(path, canonical=True) == H
+    assert read_h3(path) == H
 
 
 def test_h3_text_shape():
@@ -48,18 +47,27 @@ def test_h3_edge_count_mismatch():
         parse_h3("p h3 3 2\n1 2 3\n")
 
 
-def test_load_checked_rejects_duplicates(tmp_path):
-    path = tmp_path / "dup.h3"
-    path.write_text("p h3 3 2\n1 2 3\n3 2 1\n")
-    with pytest.raises(FormatError, match="duplicate"):
-        load_h3_checked(path)
+def test_h3_edge_order_canonicalized():
+    text = "p h3 6 2\n4 5 6\n3 2 1\n"
+    assert parse_h3(text).edges == ((0, 1, 2), (3, 4, 5))
 
 
-def test_load_checked_rejects_out_of_range(tmp_path):
-    path = tmp_path / "oob.h3"
-    path.write_text("p h3 2 1\n1 2 3\n")
-    with pytest.raises(FormatError, match="out of range"):
-        load_h3_checked(path)
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("p h3 3 2\n1 2 3\n3 2 1\n", "line 3: duplicate edge 1"),
+        ("p h3 3 1\n0 1 2\n", "out of range"),
+        ("p h3 2 1\n1 2 3\n", "out of range"),
+        ("p h3 3 1\n1 2 2\n", "repeated vertex"),
+    ],
+    ids=["duplicate", "id-zero", "id-above-n", "repeated-vertex"],
+)
+def test_read_h3_rejects_invalid_edges(tmp_path, body, match):
+    path = tmp_path / "bad.h3"
+    path.write_text(body)
+    with pytest.raises(FormatError, match=match) as info:
+        read_h3(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_coloring_roundtrip(tmp_path):
@@ -106,7 +114,7 @@ def test_h3_roundtrip_property(data):
         for _ in range(m)
     ]
     H = Hypergraph(n, edges)
-    assert parse_h3(format_h3(H), canonical=True) == H
+    assert parse_h3(format_h3(H)) == H
 
 
 @given(st.dictionaries(st.integers(0, 30), st.integers(1, 9), max_size=12))

@@ -18,8 +18,8 @@ from lochroma import (
     induced,
     is_linear,
     lift_coloring,
+    lo_color,
     make_linear,
-    validate_hypergraph,
 )
 
 from conftest import all_lo_colorings
@@ -49,31 +49,44 @@ def small_hypergraphs():
 
 
 class TestValidate:
+    """The constructor is the one validity check: every Hypergraph is valid."""
+
     def test_minimal_valid(self, single_edge):
-        assert validate_hypergraph(single_edge) is None
+        assert single_edge.n == 3 and single_edge.edges == ((0, 1, 2),)
 
     def test_repeated_vertex(self):
-        H = Hypergraph(3, [(0, 1, 1)], canonical=False)
-        assert validate_hypergraph(H) == "repeated vertex in edge 0"
+        with pytest.raises(ValueError, match=r"repeated vertex in edge 0 \(0, 1, 1\)"):
+            Hypergraph(3, [(0, 1, 1)])
 
     def test_out_of_range(self):
-        H = Hypergraph(2, [(0, 1, 2)], canonical=False)
-        report = validate_hypergraph(H)
-        assert report is not None and "vertex 2 out of range" in report
+        for n, edges in [(3, [(0, 1, 5)]), (2, [(0, 1, 2)]), (3, [(0, 1, 2), (0, 1, -1)])]:
+            with pytest.raises(ValueError, match=f"out of range.*edge {len(edges) - 1}"):
+                Hypergraph(n, edges)
 
     def test_duplicate_edge_raw(self):
-        H = Hypergraph(4, [(0, 1, 2), (2, 1, 0)], canonical=False)
-        report = validate_hypergraph(H)
-        assert report is not None and "duplicate edge" in report
+        # A repeated edge, in any vertex order, is kept once.
+        H = Hypergraph(4, [(0, 1, 2), (2, 1, 0)])
+        assert H.edges == ((0, 1, 2),)
 
     def test_canonical_constructor_dedups_and_sorts(self):
         H = Hypergraph(4, [(2, 1, 0), (0, 1, 2), (3, 2, 1)])
         assert H.edges == ((0, 1, 2), (1, 2, 3))
-        assert validate_hypergraph(H) is None
 
     def test_non_triple_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a triple"):
             Hypergraph(4, [(0, 1)])
+        with pytest.raises(ValueError, match="not a triple"):
+            Hypergraph(4, [(0, 1, 2, 3)])
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="negative"):
+            Hypergraph(-1, [])
+
+    def test_negative_id_never_reaches_lo_color(self):
+        # List and array indexing would alias vertex -1 to vertex 2, and
+        # check_lo would accept a coloring of the aliased graph.
+        with pytest.raises(ValueError, match="out of range"):
+            lo_color(Hypergraph(3, [(0, 1, -1)]))
 
 
 class TestLinear:
@@ -202,7 +215,7 @@ class TestInduced:
     def test_preserves_validity_and_degrees(self, H, data):
         S = data.draw(st.sets(st.integers(0, H.n - 1)))
         sub, ids = induced(H, S)
-        assert validate_hypergraph(sub) is None
+        assert sub == Hypergraph(sub.n, sub.edges)
         old_degs = H.degrees()
         new_degs = sub.degrees()
         for new, old in enumerate(ids):
@@ -210,7 +223,7 @@ class TestInduced:
 
 
 def induced_reference(H, vertices):
-    """The set-based induced subhypergraph, through the canonical constructor."""
+    """The set-based induced subhypergraph, through the constructor."""
     ids = tuple(sorted(int(v) for v in set(vertices)))
     index = {old: new for new, old in enumerate(ids)}
     keep = set(ids)
@@ -275,11 +288,6 @@ class TestInducedArrays:
         assert_same_induced(H, {1, 2, 3, 4, 0, 6})
         sub, ids = induced(H, {1, 2, 3, 4, 0, 6})
         assert sub.n == 6 and list(sub.degrees()) == [1, 0, 1, 0, 1, 0]
-
-    def test_raw_edge_order_is_canonicalized(self):
-        H = Hypergraph(6, [(3, 4, 5), (0, 1, 2), (2, 1, 0)], canonical=False)
-        assert_same_induced(H, range(6))
-        assert induced(H, range(6))[0].edges == ((0, 1, 2), (3, 4, 5))
 
     def test_vertices_outside_the_graph_stay_isolated(self, single_edge):
         assert_same_induced(single_edge, {0, 1, 2, 5})

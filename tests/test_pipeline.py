@@ -49,18 +49,24 @@ class TestExtend:
 
     def test_odd_checks_independence(self, single_edge):
         with pytest.raises(ValueError, match="odd independent"):
-            extend_with_odd(single_edge, RankedColoring(), {0, 1})
+            extend_with_odd(single_edge, RankedColoring({2: 1}), {0, 1})
 
     def test_even_checks_independence(self, single_edge):
         with pytest.raises(ValueError, match="even independent"):
-            extend_with_even(single_edge, RankedColoring(), {0})
+            extend_with_even(single_edge, RankedColoring({1: 1, 2: 2}), {0})
 
     def test_independence_checked_on_uncolored_part_only(self, single_edge):
-        # With vertex 2 already colored, the edge is not induced on the
-        # uncolored part, so the pair {0, 1} is fine as an odd set there.
+        # The colored vertex 2 was left when {0, 1} was drawn, so the edge is
+        # checked: ranks 6, 6, 5 would tie at its maximum.
         base = RankedColoring({2: 5})
-        c = extend_with_odd(single_edge, base, {0, 1})
-        assert c[0] == c[1] == 6
+        with pytest.raises(ValueError, match="vertices left when it was drawn"):
+            extend_with_odd(single_edge, base, {0, 1})
+
+    def test_earlier_rounds_are_not_checked(self, single_edge):
+        # Vertex 2 is uncolored: it was drawn in an earlier round, so the
+        # edge is not induced on the vertices left when {0, 1} was drawn.
+        c = extend_with_odd(single_edge, RankedColoring(), {0, 1})
+        assert c[0] == c[1] == 1
 
     def test_rejects_overlap(self, single_edge):
         with pytest.raises(ValueError, match="overlap"):
@@ -160,11 +166,6 @@ def z3_line_core(d: int, keep: float, seed: int) -> tuple[Hypergraph, VectorSolu
 
 
 class TestKnownDefects:
-    @pytest.mark.xfail(
-        raises=ValueError,
-        reason="reverse assembly checks each set against the union of the earlier "
-        "rounds' sets and S, not against the round's remaining vertices",
-    )
     def test_n15_z3_core_assembles(self):
         H, cert = z3_line_core(3, 0.5, 56)
         assert (H.n, H.m) == (25, 15)
