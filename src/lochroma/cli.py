@@ -185,6 +185,13 @@ def cmd_verify(args) -> int:
     except (OSError, formats.FormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_IO
+    # check_lo ignores colored vertices outside the hypergraph; a file that
+    # names one does not color this instance.
+    outside = [v for v in coloring.domain() if v >= H.n]
+    if outside:
+        print(f"parse error: {args.coloring}: vertex {min(outside) + 1} is outside 1..{H.n}",
+              file=sys.stderr)
+        return EXIT_IO
     try:
         if args.partial:
             ok = check_partial_lo(H, coloring)
@@ -197,7 +204,7 @@ def cmd_verify(args) -> int:
         print("OK")
         return EXIT_OK
     idx = first_violation(H, coloring)
-    e = H.edges[idx]
+    e = tuple(H.edge_array()[idx].tolist())
     ranks = [coloring.get(v) for v in e]
     print(f"violation: edge {idx} = {tuple(v + 1 for v in e)} ranks {ranks}")
     return EXIT_INVALID

@@ -122,7 +122,7 @@ def check_gamma_sums(H: Hypergraph, gamma: np.ndarray, slack: float) -> None:
     err = abs(float(sums[worst]) + 1.0)
     if err > slack:
         raise ValueError(
-            f"inconsistent gammas: edge {H.edges[worst]} sums to "
+            f"inconsistent gammas: edge {tuple(E[worst].tolist())} sums to "
             f"{float(sums[worst]):.9f}, off by {err:.3e} > slack {slack:.3e}"
         )
 
@@ -247,7 +247,7 @@ def balanced_log_coloring(
             full = partial
         if check_lo(H_B, full):
             return full
-        e = H_B.edges[first_violation(H_B, full)]
+        e = tuple(H_B.edge_array()[first_violation(H_B, full)].tolist())
         last_error = ValueError(f"edge {e} has duplicated maximum rank {max(map(full.get, e))}")
     raise ResampleBudgetExceeded(
         f"no valid coloring in {retry_budget} attempts; last failure: {last_error}"

@@ -45,7 +45,7 @@ def _solve_kernel(rows: list[int], n: int) -> list[int]:
 
 def _kernel_phase(H: Hypergraph) -> set[int]:
     """Heaviest kernel vector found by a deterministic XOR hill climb."""
-    rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in H.edges]
+    rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in H.edge_array().tolist()]
     basis = _solve_kernel(rows, H.n)
     if not basis:
         return set()

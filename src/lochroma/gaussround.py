@@ -241,16 +241,13 @@ def two_sided_round(
     right = gamma > -THIRD + delta
     middle = ~(left | right)
     ortho = ortho_profile(sol)
-    base = {int(v): 1 for v in np.flatnonzero(left)}
-    base.update({int(v): 2 for v in np.flatnonzero(right)})
+    ranks = np.where(right, 2, 1)
     mids = np.flatnonzero(middle)
+    E = H.edge_array()
     for attempt in range(retry_budget):
         r = unit_vector(substream(seed, f"hyperplane:{attempt}"), ortho.dim)
-        proj = ortho.ubar[mids] @ r
-        ranks = dict(base)
-        for v, p in zip(mids, proj):
-            ranks[int(v)] = 2 if p >= 0.0 else 1
-        coloring = RankedColoring(ranks)
-        if all(len({coloring[v] for v in e}) > 1 for e in H.edges):
-            return coloring
+        ranks[mids] = np.where(ortho.ubar[mids] @ r >= 0.0, 2, 1)
+        R = ranks[E]
+        if (R.min(axis=1) < R.max(axis=1)).all():
+            return RankedColoring(dict(enumerate(ranks.tolist())))
     raise ResampleBudgetExceeded(f"no proper 2-coloring in {retry_budget} hyperplane draws")

@@ -1,10 +1,12 @@
 """Core 3-uniform hypergraph types, structural transforms, and validity checks.
 
-Vertices are the integers ``0..n-1``.  Every edge is a sorted triple of
-distinct vertex ids; the constructor, the one place that checks this, also
-sorts and deduplicates the edge list so iteration order is reproducible.
-Colorings are partial maps from vertices to integer ranks, where a larger
-rank means a larger color.
+Vertices are the integers ``0..n-1``.  A ``Hypergraph`` keeps its edges in
+one form, a read-only (m, 3) int64 array of sorted triples of distinct
+vertex ids, in lexicographic order without repeats.  The constructor is the
+one place that checks and canonicalizes edges; ``induced`` builds its result
+on an array that is canonical by construction.  The transforms and checkers
+below work on that array.  Colorings are partial maps from vertices to
+integer ranks, where a larger rank means a larger color.
 """
 
 from __future__ import annotations
@@ -25,52 +27,73 @@ class NotTwoLOColorable(Exception):
         self.witness = witness
 
 
+def _checked_triple(n: int, i: int, e: Iterable[int]) -> Edge:
+    """Edge ``i`` as a sorted triple; ``ValueError`` unless it is valid for ``n``."""
+    t = tuple(sorted(int(v) for v in e))
+    if len(t) != 3:
+        raise ValueError(f"edge {i} {t} is not a triple")
+    if not 0 <= t[0] < t[1] < t[2] < n:
+        bad = "repeated vertex" if len(set(t)) < 3 else f"vertex out of range 0..{n - 1}"
+        raise ValueError(f"{bad} in edge {i} {t}")
+    return t
+
+
 class Hypergraph:
     """Immutable 3-uniform hypergraph on vertices ``0..n-1``.
 
-    Each edge is kept as a sorted triple ``a < b < c`` with ``0 <= a`` and
-    ``c < n``; the edge list is sorted and deduplicated.  An edge that is not
-    a triple, repeats a vertex or has a vertex out of range raises
-    ``ValueError``.  The edges as an array are built on first use and cached;
-    equality and hashing ignore the cache.
+    The edges are stored once, as a read-only (m, 3) int64 array: each row is
+    a sorted triple ``a < b < c`` with ``0 <= a`` and ``c < n``, and the rows
+    are in lexicographic order with no repeats.  The constructor sorts,
+    checks and deduplicates the edges it is given; an edge that is not a
+    triple, repeats a vertex or has a vertex out of range raises
+    ``ValueError``.  ``edges`` derives the same rows as a tuple of triples.
     """
 
-    __slots__ = ("n", "edges", "_edge_array")
+    __slots__ = ("n", "_E")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         n = int(n)
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
-        triples = []
-        for i, e in enumerate(edges):
-            t = tuple(sorted(int(v) for v in e))
-            if len(t) != 3:
-                raise ValueError(f"edge {i} {t} is not a triple")
-            if not 0 <= t[0] < t[1] < t[2] < n:
-                bad = "repeated vertex" if len(set(t)) < 3 else f"vertex out of range 0..{n - 1}"
-                raise ValueError(f"{bad} in edge {i} {t}")
-            triples.append(t)
+        rows = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            E = np.array(rows, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            E = None
+        if len(rows) == 0:
+            E = np.empty((0, 3), dtype=np.int64)
+        elif E is None or E.shape != (len(rows), 3):
+            # Rows numpy cannot read as (m, 3) integers are checked one at a
+            # time, so the first bad edge is the one reported.
+            E = np.array([_checked_triple(n, i, e) for i, e in enumerate(rows)], dtype=np.int64)
+        E.sort(axis=1)
+        valid = (0 <= E[:, 0]) & (E[:, 0] < E[:, 1]) & (E[:, 1] < E[:, 2]) & (E[:, 2] < n)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            _checked_triple(n, i, E[i].tolist())  # raises: row i is invalid
+        # Sort on the columns, not on a packed key: (a*n + b)*n + c overflows
+        # int64 once n exceeds about 2*10**6.
+        E = E[np.lexsort((E[:, 2], E[:, 1], E[:, 0]))]
+        keep = np.ones(len(E), dtype=bool)
+        keep[1:] = (E[1:] != E[:-1]).any(axis=1)
+        E = E[keep]
+        E.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(set(triples))))
-        object.__setattr__(self, "_edge_array", None)
+        object.__setattr__(self, "_E", E)
 
     @classmethod
     def _from_canonical_array(cls, n: int, E: np.ndarray) -> "Hypergraph":
-        """Hypergraph on an (m, 3) int64 array whose rows are already canonical.
+        """Hypergraph stored on ``E`` as it is, without the constructor's checks.
 
-        Each row must be a valid edge and the rows strictly increasing, as
-        the constructor would leave them; ``E`` becomes the cache.
+        Precondition: ``E`` is an (m, 3) int64 array whose rows are valid
+        edges for ``n`` and strictly increasing, as the constructor would
+        leave them, and no one writes to it afterwards.  ``E`` is made
+        read-only.
         """
         H = object.__new__(cls)
         object.__setattr__(H, "n", int(n))
-        # Share one int object per vertex id between the edge triples, as
-        # the constructor's relabeling dicts do; E.tolist() would
-        # make a fresh int for every entry above 256.
-        vertex = list(range(n)).__getitem__
-        a, b, c = (map(vertex, col) for col in E.T.tolist())
-        object.__setattr__(H, "edges", tuple(zip(a, b, c)))
         E.flags.writeable = False
-        object.__setattr__(H, "_edge_array", E)
+        object.__setattr__(H, "_E", E)
         return H
 
     def __setattr__(self, name, value):
@@ -78,29 +101,29 @@ class Hypergraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._E)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as a tuple of sorted triples, converted from the array on each call."""
+        return tuple(map(tuple, self._E.tolist()))
 
     def edge_array(self) -> np.ndarray:
-        """Edges as a read-only (m, 3) int64 array, built once and cached."""
-        E = self._edge_array
-        if E is None:
-            E = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
-            E.flags.writeable = False
-            object.__setattr__(self, "_edge_array", E)
-        return E
+        """The stored edges: a read-only (m, 3) int64 array."""
+        return self._E
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_array().ravel(), minlength=self.n)
+        return np.bincount(self._E.ravel(), minlength=self.n)
 
     def __eq__(self, other):
         return (
             isinstance(other, Hypergraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self._E, other._E)
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self._E.tobytes()))
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m})"
@@ -217,14 +240,15 @@ class DegreeStats:
 
 
 def is_linear(H: Hypergraph) -> bool:
-    """True iff no two edges share two or more vertices."""
-    pairs: set[tuple[int, int]] = set()
-    for a, b, c in H.edges:
-        for p in ((a, b), (a, c), (b, c)):
-            if p in pairs:
-                return False
-            pairs.add(p)
-    return True
+    """True iff no two edges share two or more vertices.
+
+    Each edge's three vertex pairs get the code ``a*n + b``, which is below
+    n**2 and so exact in int64 for n up to 3*10**9; the hypergraph is linear
+    iff no code repeats.
+    """
+    E = H.edge_array()
+    codes = (E[:, [0, 0, 1]] * H.n + E[:, [1, 2, 2]]).ravel()
+    return len(np.unique(codes)) == len(codes)
 
 
 def make_linear(H: Hypergraph) -> tuple[Hypergraph, MergeMap]:
@@ -238,8 +262,12 @@ def make_linear(H: Hypergraph) -> tuple[Hypergraph, MergeMap]:
     LO coloring and :class:`NotTwoLOColorable` is raised.
 
     The output hypergraph keeps the vertex count of ``H``; merged-away
-    vertices simply end up in no edge.
+    vertices simply end up in no edge.  A linear ``H`` is returned as it is,
+    with the identity map.
     """
+    if is_linear(H):
+        return H, MergeMap.identity(H.n)
+    edges = H.edge_array().tolist()
     parent = list(range(H.n))
 
     def find(x: int) -> int:
@@ -259,9 +287,10 @@ def make_linear(H: Hypergraph) -> tuple[Hypergraph, MergeMap]:
 
     while True:
         mapped: set[Edge] = set()
-        for e in H.edges:
+        for e in edges:
             t = tuple(sorted(find(v) for v in e))
             if len(set(t)) != 3:
+                e = tuple(e)
                 raise NotTwoLOColorable(
                     f"edge {e} collapses under merging: not 2-LO colorable", witness=e
                 )
@@ -308,11 +337,25 @@ def induced(H: Hypergraph, vertices: Iterable[int]) -> tuple[Hypergraph, tuple[i
     return Hypergraph._from_canonical_array(len(ids), E), tuple(ids.tolist())
 
 
+def _rank_array(ranks: list[int]) -> np.ndarray:
+    """Ranks as an array that compares them exactly.
+
+    A plain ``np.array`` turns a mix of int64 and larger ranks into float64,
+    which rounds neighbours above 2**53 together; such ranks are kept as
+    Python ints instead.
+    """
+    try:
+        return np.array(ranks, dtype=np.int64)
+    except OverflowError:
+        return np.array(ranks, dtype=object)
+
+
 def check_lo(H: Hypergraph, coloring: RankedColoring) -> bool:
     """True iff every vertex is assigned and every edge has a unique maximum rank.
 
     Colored vertices outside the hypergraph are ignored.  The ranks go into
-    one array, and each edge's maximum is compared over ``H.edge_array()``.
+    one exact array, and each edge's maximum is compared over
+    ``H.edge_array()``.
     """
     get = coloring._ranks.get
     ranks = [get(v) for v in range(H.n)]
@@ -320,21 +363,27 @@ def check_lo(H: Hypergraph, coloring: RankedColoring) -> bool:
         raise ValueError(f"vertex {ranks.index(None)} unassigned")
     if H.m == 0:
         return True
-    R = np.array(ranks)[H.edge_array()]
+    R = _rank_array(ranks)[H.edge_array()]
     return bool(((R == R.max(axis=1, keepdims=True)).sum(axis=1) == 1).all())
 
 
 def first_violation(H: Hypergraph, coloring: RankedColoring) -> int | None:
     """Index of the first edge whose assigned ranks tie at their maximum, or None.
 
-    Unassigned vertices are ignored.
+    Unassigned vertices are ignored: they stand in with the smallest assigned
+    rank, which cannot lift an edge's maximum, and are left out of the tie
+    count.  Ranks are compared exactly, as in :func:`check_lo`.
     """
     get = coloring._ranks.get
-    for i, e in enumerate(H.edges):
-        ranks = [r for r in map(get, e) if r is not None]
-        if ranks and ranks.count(max(ranks)) != 1:
-            return i
-    return None
+    ranks = [get(v) for v in range(H.n)]
+    assigned = np.array([r is not None for r in ranks], dtype=bool)
+    if not assigned.any():
+        return None
+    floor = min(r for r in ranks if r is not None)
+    E = H.edge_array()
+    R = _rank_array([floor if r is None else r for r in ranks])[E]
+    ties = ((R == R.max(axis=1, keepdims=True)) & assigned[E]).sum(axis=1) > 1
+    return int(np.argmax(ties)) if ties.any() else None
 
 
 def check_partial_lo(H: Hypergraph, coloring: RankedColoring) -> bool:
@@ -342,16 +391,26 @@ def check_partial_lo(H: Hypergraph, coloring: RankedColoring) -> bool:
     return first_violation(H, coloring) is None
 
 
+def _edge_hits(H: Hypergraph, vertices: Iterable[int]) -> np.ndarray:
+    """How many distinct members of ``vertices`` each edge contains.
+
+    Ids outside ``0..n-1`` are in no edge and count for nothing.
+    """
+    S = np.fromiter(vertices, dtype=np.int64)
+    member = np.zeros(H.n, dtype=bool)
+    member[S[(S >= 0) & (S < H.n)]] = True
+    return member[H.edge_array()].sum(axis=1)
+
+
 def check_odd_is(H: Hypergraph, vertices: Iterable[int]) -> bool:
     """True iff the set meets every edge at most once."""
-    S = set(vertices)
-    return all(len(S.intersection(e)) <= 1 for e in H.edges)
+    return bool((_edge_hits(H, vertices) <= 1).all())
 
 
 def check_even_is(H: Hypergraph, vertices: Iterable[int]) -> bool:
     """True iff the set meets every edge zero or two times."""
-    S = set(vertices)
-    return all(len(S.intersection(e)) in (0, 2) for e in H.edges)
+    hits = _edge_hits(H, vertices)
+    return bool(((hits == 0) | (hits == 2)).all())
 
 
 def degree_stats(H: Hypergraph) -> DegreeStats:

@@ -38,7 +38,7 @@ def brute_lo(H: Hypergraph, k: int) -> RankedColoring | None:
         return not (dup and top == k)
 
     incident = [[] for _ in range(H.n)]
-    for e in H.edges:
+    for e in H.edge_array().tolist():
         for v in e:
             incident[v].append(e)
 
@@ -62,10 +62,9 @@ def brute_lo(H: Hypergraph, k: int) -> RankedColoring | None:
 def _brute_max_set(H: Hypergraph, even: bool) -> frozenset[int]:
     if H.n > SET_GUARD:
         raise ValueError(f"n={H.n} exceeds guard {SET_GUARD}")
-    edges = H.edges
-    m = len(edges)
+    m = H.m
     incident = [[] for _ in range(H.n)]
-    for ei, e in enumerate(edges):
+    for ei, e in enumerate(H.edge_array().tolist()):
         for v in e:
             incident[v].append(ei)
     count = [0] * m

@@ -225,6 +225,17 @@ class TestVerifyEdgeCases:
         assert run("verify", planted_file, partial) == 1
         assert "unassigned" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [(), ("--partial",)])
+    def test_vertex_outside_instance_rejected(self, tmp_path, capsys, flags):
+        instance = tmp_path / "one.h3"
+        instance.write_text("p h3 3 1\n1 2 3\n")
+        coloring = tmp_path / "extra.coloring"
+        coloring.write_text("1 2\n2 1\n3 1\n9 5\n")
+        assert run("verify", *flags, instance, coloring) == 1
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert "vertex 9 is outside 1..3" in captured.err
+
     def test_seed_accepted_after_subcommand(self, tmp_path):
         a = tmp_path / "s1.h3"
         b = tmp_path / "s2.h3"

@@ -11,7 +11,9 @@ from scipy.integrate import quad
 from lochroma import (
     Hypergraph,
     OrthoProfile,
+    ResampleBudgetExceeded,
     RoundingConfig,
+    VectorSolution,
     alpha_for,
     best_odd_is,
     check_gaussian_facts,
@@ -348,3 +350,11 @@ class TestTwoSided:
             coloring = two_sided_round(inst.H, sol, seed=seed)
             for e in inst.H.edges:
                 assert len({coloring[v] for v in e}) == 2
+
+    def test_budget_exceeded_when_every_hyperplane_fails(self, single_edge):
+        # Three balanced vertices with one orthogonal direction: every
+        # hyperplane puts all of them on the same side.
+        vec = [-1.0 / 3.0, math.sqrt(8.0) / 3.0]
+        sol = VectorSolution.from_vectors(single_edge, [1.0, 0.0], [vec, vec, vec])
+        with pytest.raises(ResampleBudgetExceeded, match="in 5 hyperplane draws"):
+            two_sided_round(single_edge, sol, seed=0, retry_budget=5)

@@ -15,12 +15,14 @@ from lochroma import (
     check_odd_is,
     check_partial_lo,
     degree_stats,
+    gen_planted,
     induced,
     is_linear,
     lift_coloring,
     lo_color,
     make_linear,
 )
+from lochroma.hypercore import first_violation
 
 from conftest import all_lo_colorings
 
@@ -48,8 +50,78 @@ def small_hypergraphs():
     return build()
 
 
+def canonical_edges_reference(n, edges):
+    """The constructor's per-edge loop: check each edge, then sort and dedupe."""
+    triples = []
+    for i, e in enumerate(edges):
+        t = tuple(sorted(int(v) for v in e))
+        if len(t) != 3:
+            raise ValueError(f"edge {i} {t} is not a triple")
+        if not 0 <= t[0] < t[1] < t[2] < n:
+            bad = "repeated vertex" if len(set(t)) < 3 else f"vertex out of range 0..{n - 1}"
+            raise ValueError(f"{bad} in edge {i} {t}")
+        triples.append(t)
+    return tuple(sorted(set(triples)))
+
+
+def raw_edge_lists(min_len=3, max_len=3):
+    """Hypothesis strategy: (n, rows) with ids slightly out of range and repeats."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=0, max_value=7))
+        row = st.lists(st.integers(-2, n + 1), min_size=min_len, max_size=max_len)
+        return n, draw(st.lists(row, max_size=8))
+
+    return build()
+
+
 class TestValidate:
     """The constructor is the one validity check: every Hypergraph is valid."""
+
+    @given(raw_edge_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_triples(self, case):
+        self._assert_matches_reference(*case)
+
+    @given(raw_edge_lists(min_len=2, max_len=4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_on_ragged_rows(self, case):
+        self._assert_matches_reference(*case)
+
+    @given(small_hypergraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_valid_edges(self, H):
+        rows = [tuple(reversed(e)) for e in H.edges] * 2
+        self._assert_matches_reference(H.n, rows)
+
+    @staticmethod
+    def _assert_matches_reference(n, rows):
+        try:
+            expected = canonical_edges_reference(n, rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Hypergraph(n, rows)
+            assert str(got.value) == str(exc)
+        else:
+            H = Hypergraph(n, rows)
+            assert H.edges == expected
+            assert np.array_equal(H.edge_array(), np.array(expected, dtype=np.int64).reshape(-1, 3))
+
+    def test_large_n_sorts_without_packed_key_overflow(self):
+        # At n = 3*10**6, (a*n + b)*n + c exceeds 2**63 once a > 1.02*10**6,
+        # and wraps to a negative key for a = 1.5*10**6.
+        n = 3_000_000
+        half = (1_500_000, 1_500_001, 1_500_002)
+        rows = [(n - 1, n - 2, n - 3), half, (0, 1, 2), (n - 3, n - 2, n - 1),
+                (1, n - 2, n - 1), (n - 4, n - 2, n - 1), (n - 2, 0, n - 1)]
+        H = Hypergraph(n, rows)
+        assert H.edges == canonical_edges_reference(n, rows)
+        assert H.edges == ((0, 1, 2), (0, n - 2, n - 1), (1, n - 2, n - 1), half,
+                           (n - 4, n - 2, n - 1), (n - 3, n - 2, n - 1))
+        assert not is_linear(H)
+        with pytest.raises(ValueError, match=f"out of range 0..{n - 1} in edge 1"):
+            Hypergraph(n, [(0, 1, 2), (n - 2, n - 1, n)])
 
     def test_minimal_valid(self, single_edge):
         assert single_edge.n == 3 and single_edge.edges == ((0, 1, 2),)
@@ -89,7 +161,22 @@ class TestValidate:
             lo_color(Hypergraph(3, [(0, 1, -1)]))
 
 
+def is_linear_reference(H):
+    pairs = set()
+    for a, b, c in H.edges:
+        for p in ((a, b), (a, c), (b, c)):
+            if p in pairs:
+                return False
+            pairs.add(p)
+    return True
+
+
 class TestLinear:
+    @given(small_hypergraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, H):
+        assert is_linear(H) is is_linear_reference(H)
+
     def test_share_one_vertex(self):
         assert is_linear(Hypergraph(5, [(0, 1, 2), (0, 3, 4)]))
 
@@ -116,6 +203,13 @@ class TestMakeLinear:
         H2, M = make_linear(star_three)
         assert H2 == star_three
         assert M.is_identity()
+
+    def test_linear_input_returned_as_is(self):
+        H = gen_planted(60, 40, 3).H
+        assert is_linear(H)
+        H2, M = make_linear(H)
+        assert H2 is H
+        assert M == MergeMap.identity(H.n)
 
     def test_k4_collapse_witness(self, k4_triples):
         # Brute force over all 2^4 colorings: none is a valid LO 2-coloring.
@@ -316,12 +410,13 @@ class TestEdgeArray:
         assert E.dtype == np.int64 and E.shape == (0, 3)
         assert Hypergraph(0, []).degrees().shape == (0,)
 
-    def test_equality_and_hash_ignore_cache(self):
-        edges = [(0, 1, 2), (2, 3, 4)]
-        warm, cold = Hypergraph(5, edges), Hypergraph(5, edges)
-        warm.edge_array()
-        assert warm == cold and hash(warm) == hash(cold)
-        assert {warm: 1}[cold] == 1
+    def test_equality_and_hash_use_n_and_edges(self):
+        a = Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
+        b = Hypergraph(5, [(4, 3, 2), (2, 1, 0), (0, 1, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != Hypergraph(6, a.edges)
+        assert a != Hypergraph(5, a.edges[:1])
 
     @given(small_hypergraphs())
     @settings(max_examples=60, deadline=None)
@@ -329,6 +424,29 @@ class TestEdgeArray:
         degs = H.degrees()
         assert degs.dtype == np.int64
         assert np.array_equal(degs, degrees_reference(H))
+
+
+def check_odd_is_reference(H, vertices):
+    S = set(vertices)
+    return all(len(S.intersection(e)) <= 1 for e in H.edges)
+
+
+def check_even_is_reference(H, vertices):
+    S = set(vertices)
+    return all(len(S.intersection(e)) in (0, 2) for e in H.edges)
+
+
+# Offsets for drawn ranks: above 2**53 floats round neighbouring ranks
+# together, and from 2**63 on ranks no longer fit in int64.
+RANK_BASES = st.sampled_from([0, 2**53, 2**63 - 2, 2**70])
+
+
+def first_violation_reference(H, coloring):
+    for i, e in enumerate(H.edges):
+        ranks = [coloring.get(v) for v in e if v in coloring]
+        if ranks and ranks.count(max(ranks)) != 1:
+            return i
+    return None
 
 
 class TestCheckers:
@@ -375,14 +493,41 @@ class TestCheckers:
         assert both == disjoint
 
     @given(small_hypergraphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_odd_even_match_reference(self, H, data):
+        # Ids outside 0..n-1 and repeats are allowed and meet no edge.
+        S = data.draw(st.lists(st.integers(-3, H.n + 3)))
+        assert check_odd_is(H, S) is check_odd_is_reference(H, S)
+        assert check_even_is(H, S) is check_even_is_reference(H, S)
+
+    @given(small_hypergraphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_first_violation_matches_reference(self, H, data):
+        base = data.draw(RANK_BASES)
+        colored = {}
+        for v in range(H.n + 2):
+            if data.draw(st.booleans()):
+                colored[v] = base + data.draw(st.integers(-2, 2))
+        coloring = RankedColoring(colored)
+        expected = first_violation_reference(H, coloring)
+        assert first_violation(H, coloring) == expected
+        assert check_partial_lo(H, coloring) is (expected is None)
+
+    def test_first_violation_large_ranks(self, single_edge):
+        top = 2**53
+        assert first_violation(single_edge, RankedColoring({0: top, 1: top + 1})) is None
+        assert first_violation(single_edge, RankedColoring({0: top + 1, 1: top + 1, 2: top})) == 0
+
+    @given(small_hypergraphs(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_lo_matches_edge_loop(self, H, data):
+        base = data.draw(RANK_BASES)
         ranks = data.draw(st.lists(st.integers(-2, 3), min_size=H.n, max_size=H.n))
-        colored = dict(enumerate(ranks))
+        colored = {v: base + r for v, r in enumerate(ranks)}
         for v in data.draw(st.sets(st.integers(0, H.n - 1), max_size=2)):
             del colored[v]
         for v in data.draw(st.sets(st.integers(H.n, H.n + 5), max_size=3)):
-            colored[v] = data.draw(st.integers(-2, 3))
+            colored[v] = base + data.draw(st.integers(-2, 3))
         coloring = RankedColoring(colored)
         try:
             expected = check_lo_reference(H, coloring)

@@ -48,19 +48,16 @@ class TestExtend:
         assert c[3] == c[4] == 0
 
     def test_odd_checks_independence(self, single_edge):
-        with pytest.raises(ValueError, match="odd independent"):
+        # The colored vertex 2 was left when {0, 1} was drawn, so the edge is
+        # checked.
+        with pytest.raises(
+            ValueError, match="odd independent on the vertices left when it was drawn"
+        ):
             extend_with_odd(single_edge, RankedColoring({2: 1}), {0, 1})
 
     def test_even_checks_independence(self, single_edge):
         with pytest.raises(ValueError, match="even independent"):
             extend_with_even(single_edge, RankedColoring({1: 1, 2: 2}), {0})
-
-    def test_independence_checked_on_uncolored_part_only(self, single_edge):
-        # The colored vertex 2 was left when {0, 1} was drawn, so the edge is
-        # checked: ranks 6, 6, 5 would tie at its maximum.
-        base = RankedColoring({2: 5})
-        with pytest.raises(ValueError, match="vertices left when it was drawn"):
-            extend_with_odd(single_edge, base, {0, 1})
 
     def test_earlier_rounds_are_not_checked(self, single_edge):
         # Vertex 2 is uncolored: it was drawn in an earlier round, so the
