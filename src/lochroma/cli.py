@@ -13,6 +13,9 @@ named per-stage substreams.  Without ``--seed`` the seed is read from the
 exits with 1, and with neither set it is 0.  CSV rows contain only
 deterministic fields; wall-clock stage timings go to stderr as JSON when
 ``--timings`` is set.
+
+Flag defaults come from the library (``PipelineConfig``, ``STRATEGIES``,
+``DEFAULT_TOL``); the paper's fixed constants have no flags.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .gaussround import RoundingConfig, threshold_trace
 from .hypercore import NotTwoLOColorable, check_lo, check_partial_lo, degree_stats, first_violation
 from .instances import GenerationError, gen_balanced_tripartite, gen_planted
 from .pipeline import (
+    STRATEGIES,
     PipelineConfig,
     PipelineError,
     RunReport,
@@ -36,6 +40,7 @@ from .pipeline import (
     lo_color,
 )
 from .sdp import (
+    DEFAULT_TOL,
     SdpConfig,
     SolverStalled,
     VectorSolution,
@@ -58,30 +63,21 @@ def _add_seed_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, dest="seed_sub")
 
 
+def _add_tol_flag(p: argparse.ArgumentParser, what: str = "solver tolerance") -> None:
+    p.add_argument("--sdp-tol", type=float, default=DEFAULT_TOL, help=what)
+
+
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+    defaults = PipelineConfig()
     _add_seed_flag(p)
-    p.add_argument("--strategy", choices=("n15", "logn"), default="n15")
-    p.add_argument("--eps", type=float, default=1e-6, help="balance band radius")
-    p.add_argument("--eps-prime", type=float, default=1e-9, help="perturbed band radius")
-    p.add_argument("--sdp-tol", type=float, default=1e-8)
-    p.add_argument("--sdp-rank", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None, help="threshold rounding repetitions")
-    p.add_argument("--delta-exponent", type=float, default=0.6)
-    p.add_argument("--retry-budget", type=int, default=20)
+    p.add_argument("--strategy", choices=STRATEGIES, default=defaults.strategy)
+    p.add_argument("--eps", type=float, default=defaults.eps, help="balance band radius")
+    _add_tol_flag(p)
     p.add_argument("--timings", action="store_true", help="emit stage timings to stderr")
 
 
 def _config_from(args) -> PipelineConfig:
-    return PipelineConfig(
-        strategy=args.strategy,
-        eps=args.eps,
-        eps_prime=args.eps_prime,
-        delta_exponent=args.delta_exponent,
-        sdp=SdpConfig(rank=args.sdp_rank, tol=args.sdp_tol),
-        reps=args.reps,
-        seed=args.seed,
-        retry_budget=args.retry_budget,
-    )
+    return PipelineConfig(strategy=args.strategy, eps=args.eps, tol=args.sdp_tol, seed=args.seed)
 
 
 def _emit_report(report: RunReport, stream) -> None:
@@ -119,7 +115,7 @@ def cmd_solve(args) -> int:
     except (OSError, formats.FormatError) as exc:
         print(f"cannot read instance: {exc}", file=sys.stderr)
         return EXIT_IO
-    cfg = SdpConfig(rank=args.sdp_rank, tol=args.sdp_tol, seed=args.seed)
+    cfg = SdpConfig(tol=args.sdp_tol, seed=args.seed)
     try:
         sol = solve_feasibility(H, cfg)
     except SolverStalled as exc:
@@ -249,11 +245,9 @@ def cmd_stats(args) -> int:
     except SolverStalled as exc:
         print(f"solver stalled: {exc}", file=sys.stderr)
         return EXIT_STALL
-    delta = args.delta_override
-    if delta is None:
-        delta = degree_stats(H).delta_bar
     cfg = RoundingConfig.for_degree(
-        delta, reps=args.draws, seed=args.seed, alpha_override=args.alpha_override
+        degree_stats(H).delta_bar, reps=args.draws, seed=args.seed,
+        alpha_override=args.alpha_override,
     )
     trace = threshold_trace(H, ortho_profile(sol), cfg, args.draws)
     print(CSV_SCHEMA_COMMENT)
@@ -312,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_flag(p)
     p.add_argument("instance", help=".h3 input path")
     p.add_argument("-o", "--output", default=None, help=".cert output path")
-    p.add_argument("--sdp-tol", type=float, default=1e-8)
-    p.add_argument("--sdp-rank", type=int, default=None)
+    _add_tol_flag(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("color", help="run the coloring pipeline")
@@ -327,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coloring", help="coloring path, or certificate path with --cert")
     p.add_argument("--partial", action="store_true", help="allow partially assigned colorings")
     p.add_argument("--cert", action="store_true", help="treat the second path as a .cert")
-    p.add_argument("--sdp-tol", type=float, default=1e-8, help="residual gate for --cert")
+    _add_tol_flag(p, "residual gate for --cert")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force references for small instances")
@@ -341,9 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--cert", default=None, help="use this .cert instead of solving")
     p.add_argument("--draws", type=int, default=100)
-    p.add_argument("--delta-override", type=float, default=None)
     p.add_argument("--alpha-override", type=float, default=None)
-    p.add_argument("--sdp-tol", type=float, default=1e-8)
+    _add_tol_flag(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("bench", help="scaling sweep over planted instances")

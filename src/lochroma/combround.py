@@ -22,6 +22,13 @@ from .sdp import DEFAULT_TOL, GammaProfile, OrthoProfile, THIRD
 
 _BAND_CENTER = Fraction(-1, 3)
 
+# The logn strategy's perturbation: radius of the band around -1/3 that no
+# kicked gamma may land in, Gaussian draws per perturbation, and perturb-and-
+# round attempts per coloring.
+EPS_PRIME = 1e-9
+PERTURB_BUDGET = 100
+RETRY_BUDGET = 20
+
 
 class ResampleBudgetExceeded(RuntimeError):
     """A verify-and-retry loop ran out of fresh random draws."""
@@ -49,12 +56,11 @@ def interval(j: int) -> tuple[Fraction, Fraction]:
         raise ValueError("interval index must be nonnegative")
     if j == 0:
         return Fraction(-1), Fraction(1)
-    p = Fraction(2) ** (j - 1)
-    if j % 2 == 0:
-        upper = -(p - 2) / 3 / p
-    else:
-        upper = -(p - 1) / 3 / p
-    return upper - 1 / p, upper
+    # Width 1/p with p = 2^(j-1); upper = -(p-2)/(3p) for even j and
+    # -(p-1)/(3p) for odd j, lower = upper - 1/p.
+    p = 2 ** (j - 1)
+    top = p - 2 if j % 2 == 0 else p - 1
+    return Fraction(-(top + 3), 3 * p), Fraction(-top, 3 * p)
 
 
 def interval_by_recurrence(j: int) -> tuple[Fraction, Fraction]:
@@ -92,20 +98,11 @@ def schedule(eps) -> IntervalSchedule:
         raise ValueError(f"eps must lie in (0, 2/3), got {eps}")
     band_lo = _BAND_CENTER - e
     band_hi = _BAND_CENTER + e
-    lowers = [Fraction(-1)]
-    uppers = [Fraction(1)]
-    j = 0
-    while not (band_lo <= lowers[-1] and uppers[-1] <= band_hi):
-        lo, hi = lowers[-1], uppers[-1]
-        mid = (lo + hi) / 2
-        if j % 2 == 0:
-            lo, hi = lo, mid
-        else:
-            lo, hi = mid, hi
-        lowers.append(lo)
-        uppers.append(hi)
-        j += 1
-    sched = IntervalSchedule(float(e), tuple(lowers), tuple(uppers))
+    intervals = [interval(0)]
+    while not (band_lo <= intervals[-1][0] and intervals[-1][1] <= band_hi):
+        intervals.append(interval(len(intervals)))
+    lowers, uppers = zip(*intervals)
+    sched = IntervalSchedule(float(e), lowers, uppers)
     bound = iteration_bound(e)
     if sched.T > bound:
         raise AssertionError(f"schedule length {sched.T} exceeds bound {bound}")
@@ -164,14 +161,21 @@ def _forbidden(gamma: np.ndarray, eps_prime: float) -> bool:
     return bool(np.any((gamma > -THIRD - eps_prime) & (gamma < -THIRD + eps_prime)))
 
 
+def _check_perturbable(profile: GammaProfile, ortho: OrthoProfile) -> None:
+    if not bool(profile.balanced_mask.all()):
+        raise ValueError("profile has unbalanced vertices; perturbation expects all balanced")
+    if ortho.degenerate:
+        raise ValueError(f"orthogonal directions degenerate at {sorted(ortho.degenerate)[:5]}")
+
+
 def perturb_gammas(
     H_B: Hypergraph,
     profile: GammaProfile,
     ortho: OrthoProfile,
     seed: int,
     *,
-    eps_prime: float = 1e-9,
-    budget: int = 100,
+    eps_prime: float = EPS_PRIME,
+    budget: int = PERTURB_BUDGET,
 ) -> GammaProfile:
     """Kick every gamma off the balance point with one shared Gaussian draw.
 
@@ -181,10 +185,7 @@ def perturb_gammas(
     A draw is rejected (and resampled) when some vertex lands inside the open
     band of radius ``eps_prime`` or some kick exceeds 1/2.
     """
-    if not bool(profile.balanced_mask.all()):
-        raise ValueError("profile has unbalanced vertices; perturbation expects all balanced")
-    if ortho.degenerate:
-        raise ValueError(f"orthogonal directions degenerate at {sorted(ortho.degenerate)[:5]}")
+    _check_perturbable(profile, ortho)
     if H_B.n == 0:
         return GammaProfile(np.zeros(0), eps_prime)
     scale = float(H_B.n) ** 2
@@ -210,31 +211,24 @@ def balanced_log_coloring(
     ortho: OrthoProfile,
     seed: int,
     *,
-    eps_prime: float = 1e-9,
-    retry_budget: int = 20,
-    perturb_budget: int = 100,
     tol: float = DEFAULT_TOL,
 ) -> RankedColoring:
     """Full coloring of a balanced hypergraph: perturb, then bisection-round.
 
     After a successful perturbation no gamma is balanced, so the rounding
     colors every vertex; validity is still verified and the whole draw is
-    retried on failure, which makes the output deterministically valid.
+    retried on failure, up to ``RETRY_BUDGET`` attempts.  An unbalanced
+    profile or degenerate orthogonal directions fail every draw alike, so
+    they raise ``ValueError`` before the first.
     """
     if H_B.n == 0:
         return RankedColoring()
+    _check_perturbable(profile, ortho)
     slack = perturbation_slack(H_B.n, profile.eps, tol)
     last_error: Exception | None = None
-    for attempt in range(retry_budget):
+    for attempt in range(RETRY_BUDGET):
         try:
-            kicked = perturb_gammas(
-                H_B,
-                profile,
-                ortho,
-                derive_attempt_seed(seed, attempt),
-                eps_prime=eps_prime,
-                budget=perturb_budget,
-            )
+            kicked = perturb_gammas(H_B, profile, ortho, derive_attempt_seed(seed, attempt))
             partial = combinatorial_rounding(H_B, kicked, sum_slack=slack)
         except (ResampleBudgetExceeded, ValueError) as exc:
             last_error = exc
@@ -250,7 +244,7 @@ def balanced_log_coloring(
         e = tuple(H_B.edge_array()[first_violation(H_B, full)].tolist())
         last_error = ValueError(f"edge {e} has duplicated maximum rank {max(map(full.get, e))}")
     raise ResampleBudgetExceeded(
-        f"no valid coloring in {retry_budget} attempts; last failure: {last_error}"
+        f"no valid coloring in {RETRY_BUDGET} attempts; last failure: {last_error}"
     )
 
 

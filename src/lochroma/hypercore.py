@@ -353,18 +353,15 @@ def _rank_array(ranks: list[int]) -> np.ndarray:
 def check_lo(H: Hypergraph, coloring: RankedColoring) -> bool:
     """True iff every vertex is assigned and every edge has a unique maximum rank.
 
-    Colored vertices outside the hypergraph are ignored.  The ranks go into
-    one exact array, and each edge's maximum is compared over
-    ``H.edge_array()``.
+    Colored vertices outside the hypergraph are ignored.  An unassigned
+    vertex raises ``ValueError``; with every vertex assigned this is
+    :func:`first_violation` finding no edge.
     """
     get = coloring._ranks.get
-    ranks = [get(v) for v in range(H.n)]
-    if None in ranks:
-        raise ValueError(f"vertex {ranks.index(None)} unassigned")
-    if H.m == 0:
-        return True
-    R = _rank_array(ranks)[H.edge_array()]
-    return bool(((R == R.max(axis=1, keepdims=True)).sum(axis=1) == 1).all())
+    for v in range(H.n):
+        if get(v) is None:
+            raise ValueError(f"vertex {v} unassigned")
+    return first_violation(H, coloring) is None
 
 
 def first_violation(H: Hypergraph, coloring: RankedColoring) -> int | None:
@@ -379,9 +376,11 @@ def first_violation(H: Hypergraph, coloring: RankedColoring) -> int | None:
     assigned = np.array([r is not None for r in ranks], dtype=bool)
     if not assigned.any():
         return None
-    floor = min(r for r in ranks if r is not None)
+    if not assigned.all():
+        floor = min(r for r in ranks if r is not None)
+        ranks = [floor if r is None else r for r in ranks]
     E = H.edge_array()
-    R = _rank_array([floor if r is None else r for r in ranks])[E]
+    R = _rank_array(ranks)[E]
     ties = ((R == R.max(axis=1, keepdims=True)) & assigned[E]).sum(axis=1) > 1
     return int(np.argmax(ties)) if ties.any() else None
 

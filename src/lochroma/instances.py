@@ -26,6 +26,31 @@ class GenerationError(RuntimeError):
     """Rejection sampling could not place the requested number of linear edges."""
 
 
+def _linear_edges(m: int, draw) -> list[tuple[int, int, int]]:
+    """``m`` edges from repeated ``draw()`` calls, each a triple of vertices.
+
+    A drawn edge is kept when none of its three vertex pairs is in an edge
+    kept before; after ``REJECTION_FACTOR * max(m, 1)`` draws the sampler
+    gives up.
+    """
+    pairs: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int, int]] = []
+    budget = REJECTION_FACTOR * max(m, 1)
+    while len(edges) < m and budget > 0:
+        budget -= 1
+        edge = tuple(sorted(draw()))
+        ps = ((edge[0], edge[1]), (edge[0], edge[2]), (edge[1], edge[2]))
+        if any(p in pairs for p in ps):
+            continue
+        pairs.update(ps)
+        edges.append(edge)
+    if len(edges) < m:
+        raise GenerationError(
+            f"placed only {len(edges)} of {m} linear edges within the retry budget"
+        )
+    return edges
+
+
 @dataclass(frozen=True)
 class PlantedInstance:
     """Hypergraph shipped with a hidden valid 2-color LO coloring."""
@@ -54,25 +79,12 @@ def gen_planted(n: int, m: int, seed: int) -> PlantedInstance:
     if m > 0 and len(bases) < 2:
         raise GenerationError("base class too small for any edge")
 
-    pairs: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, int]] = []
-    budget = REJECTION_FACTOR * max(m, 1)
-    while len(edges) < m and budget > 0:
-        budget -= 1
+    def draw():
         v = int(tops[rng.integers(len(tops))])
         i, j = rng.choice(len(bases), size=2, replace=False)
-        edge = tuple(sorted((v, int(bases[i]), int(bases[j]))))
-        ps = ((edge[0], edge[1]), (edge[0], edge[2]), (edge[1], edge[2]))
-        if any(p in pairs for p in ps):
-            continue
-        pairs.update(ps)
-        edges.append(edge)
-    if len(edges) < m:
-        raise GenerationError(
-            f"placed only {len(edges)} of {m} linear edges within the retry budget"
-        )
+        return (v, int(bases[i]), int(bases[j]))
 
-    H = Hypergraph(n, edges)
+    H = Hypergraph(n, _linear_edges(m, draw))
     top_set = set(int(v) for v in tops)
     planted = RankedColoring({v: 2 if v in top_set else 1 for v in range(n)})
     inst = PlantedInstance(H, planted, seed)
@@ -101,24 +113,10 @@ def gen_balanced_tripartite(
     third = n // 3
     parts = [perm[:third], perm[third : 2 * third], perm[2 * third :]]
 
-    pairs: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, int]] = []
-    budget = REJECTION_FACTOR * max(m, 1)
-    while len(edges) < m and budget > 0:
-        budget -= 1
-        picks = [int(part[rng.integers(len(part))]) for part in parts]
-        edge = tuple(sorted(picks))
-        ps = ((edge[0], edge[1]), (edge[0], edge[2]), (edge[1], edge[2]))
-        if any(p in pairs for p in ps):
-            continue
-        pairs.update(ps)
-        edges.append(edge)
-    if len(edges) < m:
-        raise GenerationError(
-            f"placed only {len(edges)} of {m} linear edges within the retry budget"
-        )
+    def draw():
+        return [int(part[rng.integers(len(part))]) for part in parts]
 
-    H = Hypergraph(n, edges)
+    H = Hypergraph(n, _linear_edges(m, draw))
     part_of = np.zeros(n, dtype=int)
     for k, part in enumerate(parts):
         for v in part:

@@ -36,7 +36,7 @@ from .hypercore import (
 )
 from .rng import derive_seed
 from .sdp import (
-    GammaProfile,
+    DEFAULT_TOL,
     OrthoProfile,
     SdpConfig,
     gamma_profile,
@@ -45,6 +45,10 @@ from .sdp import (
 )
 
 STRATEGIES = ("n15", "logn")
+
+# n15 removes an even set in a round whose average degree is at least
+# (uncolored vertex count)^DELTA_EXPONENT, and a threshold odd set otherwise.
+DELTA_EXPONENT = 3.0 / 5.0
 
 
 class PipelineError(RuntimeError):
@@ -57,21 +61,26 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Pipeline settings.
+
+    ``strategy`` colors the balanced part (one of ``STRATEGIES``); ``eps`` is
+    the balance band radius; ``tol`` is the solver tolerance, and ``eps``
+    must be at least 100 times it.  ``seed`` roots every random draw of the
+    run through named substreams.  The paper's fixed constants are module
+    constants: ``DELTA_EXPONENT`` here, ``combround.EPS_PRIME`` and
+    ``combround.RETRY_BUDGET`` for ``logn``, and ``gaussround.default_reps``
+    for the threshold rounding's amplification.
+    """
+
     strategy: str = "n15"
     eps: float = 1e-6
-    eps_prime: float = 1e-9
-    delta_exponent: float = 3.0 / 5.0
-    sdp: SdpConfig = field(default_factory=SdpConfig)
-    reps: int | None = None
+    tol: float = DEFAULT_TOL
     seed: int = 0
-    retry_budget: int = 20
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if not (0.0 < self.delta_exponent < 1.0):
-            raise ValueError("delta_exponent must lie in (0, 1)")
-        if self.eps < 100 * self.sdp.tol:
+        if self.eps < 100 * self.tol:
             raise ValueError("eps must be at least 100x solver tolerance")
 
 
@@ -88,7 +97,6 @@ class RunReport:
     m: int
     strategy: str
     eps: float
-    eps_prime: float
     seed: int
     colors: int
     sdp_iters: int
@@ -111,6 +119,10 @@ class RunReport:
         "edge_residual",
         "status",
     )
+
+    @property
+    def eps_prime(self) -> float:
+        return combround.EPS_PRIME
 
     def csv_row(self) -> str:
         vals = []
@@ -171,16 +183,11 @@ def combine(
     return merged
 
 
-def color_balanced(
-    H_B: Hypergraph,
-    ortho: OrthoProfile,
-    cfg: PipelineConfig,
-    seed_label: str = "balanced",
-) -> RankedColoring:
+def color_balanced(H_B: Hypergraph, ortho: OrthoProfile, cfg: PipelineConfig) -> RankedColoring:
     """Color a balanced hypergraph by iterated independent-set extraction.
 
     Each round works on the hypergraph induced on the still-uncolored
-    vertices; with average degree at least (vertex count)^delta_exponent an
+    vertices; with average degree at least (vertex count)^DELTA_EXPONENT an
     even set is removed, otherwise a threshold-rounding odd set.  Empty
     finds fall back to degree-zero vertices, then to a single odd vertex, so
     the vertex set strictly shrinks and the loop always terminates.
@@ -195,17 +202,16 @@ def color_balanced(
             break
         stats = degree_stats(sub)
         kind: str
-        if stats.delta_bar >= len(remaining) ** cfg.delta_exponent:
+        if stats.delta_bar >= len(remaining) ** DELTA_EXPONENT:
             S_sub = even_independent_set(sub, stats.delta_bar)
             kind = "even"
         else:
-            reps = cfg.reps if cfg.reps is not None else gaussround.default_reps(sub.n)
             S_sub = gaussround.best_odd_is(
                 sub,
                 ortho.restrict(ids),
                 stats.delta_bar,
-                reps=reps,
-                seed=derive_seed(cfg.seed, f"{seed_label}:round:{round_no}"),
+                reps=gaussround.default_reps(sub.n),
+                seed=derive_seed(cfg.seed, f"balanced:round:{round_no}"),
             )
             kind = "odd"
         if not S_sub:
@@ -256,7 +262,7 @@ def lo_color(H: Hypergraph, cfg: PipelineConfig | None = None) -> tuple[RankedCo
     c_core = RankedColoring()
     if H_core.n:
         t1 = time.perf_counter()
-        sdp_cfg = replace(cfg.sdp, seed=derive_seed(cfg.seed, "sdp"))
+        sdp_cfg = SdpConfig(tol=cfg.tol, seed=derive_seed(cfg.seed, "sdp"))
         sol = solve_feasibility(H_core, sdp_cfg)
         sdp_iters, norm_res, edge_res = sol.iters, sol.norm_residual, sol.edge_residual
         timings["solve"] = time.perf_counter() - t1
@@ -264,7 +270,7 @@ def lo_color(H: Hypergraph, cfg: PipelineConfig | None = None) -> tuple[RankedCo
         t2 = time.perf_counter()
         profile = gamma_profile(sol, cfg.eps)
         c_unbal = combround.combinatorial_rounding(
-            H_core, profile, sum_slack=3.0 * cfg.sdp.tol
+            H_core, profile, sum_slack=3.0 * cfg.tol
         )
         timings["round_unbalanced"] = time.perf_counter() - t2
 
@@ -281,9 +287,7 @@ def lo_color(H: Hypergraph, cfg: PipelineConfig | None = None) -> tuple[RankedCo
                     profile.restrict(bal_map),
                     ortho_bal,
                     derive_seed(cfg.seed, "logn"),
-                    eps_prime=cfg.eps_prime,
-                    retry_budget=cfg.retry_budget,
-                    tol=cfg.sdp.tol,
+                    tol=cfg.tol,
                 )
             else:
                 c_bal_sub = color_balanced(H_bal, ortho_bal, cfg)
@@ -314,7 +318,6 @@ def lo_color(H: Hypergraph, cfg: PipelineConfig | None = None) -> tuple[RankedCo
         m=H.m,
         strategy=cfg.strategy,
         eps=cfg.eps,
-        eps_prime=cfg.eps_prime,
         seed=cfg.seed,
         colors=final.num_colors(),
         sdp_iters=sdp_iters,
@@ -332,13 +335,10 @@ def logn_color_bound(eps: float) -> int:
 
 
 def bench_rows(
-    sizes,
-    seeds_per_size: int,
-    cfg: PipelineConfig,
-    *,
-    edge_factor: float = 1.3,
+    sizes, seeds_per_size: int, cfg: PipelineConfig
 ) -> tuple[list[RunReport], float | None]:
-    """One pipeline run per (size, seed), plus the fitted log-log color slope.
+    """One pipeline run per (size, seed) on planted instances with m = 1.3 n,
+    plus the fitted log-log color slope.
 
     Failures are recorded as rows with a non-ok status so a sweep survives
     individual errors.  The slope is None when fewer than two distinct sizes
@@ -348,7 +348,7 @@ def bench_rows(
 
     rows: list[RunReport] = []
     for n in sizes:
-        m = round(edge_factor * n)
+        m = round(1.3 * n)
         for i in range(seeds_per_size):
             seed = derive_seed(cfg.seed, f"bench:{n}:{i}")
             try:
@@ -361,7 +361,6 @@ def bench_rows(
                         m=m,
                         strategy=cfg.strategy,
                         eps=cfg.eps,
-                        eps_prime=cfg.eps_prime,
                         seed=seed,
                         colors=0,
                         sdp_iters=0,

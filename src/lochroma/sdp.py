@@ -24,7 +24,7 @@ residuals of the best candidate (smallest worst-residual) as evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +40,10 @@ DEFAULT_TOL = 1e-8
 # restarts after the rank ladder.
 MAX_SWEEPS = 800
 RESTARTS = 5
+
+# Each reduced LM step solves a dense (q*r)^2 system; rungs with q*r above
+# this are left to the full-space phase.
+MAX_DOF = 1200
 
 THIRD = 1.0 / 3.0
 
@@ -61,22 +65,18 @@ class SolverStalled(RuntimeError):
 class SdpConfig:
     """Solver settings.
 
-    ``rank`` caps the reduced rank ladder and sets the full-space factor
-    width; ``None`` picks min(n+1, ceil(sqrt(2m)) + 2) for the width and
-    leaves the ladder uncapped.  ``tol`` bounds both the worst |norm^2 - 1|
-    and the worst per-edge sum norm of an accepted solution.  ``seed`` roots
-    every random draw of the solve: the basis rotation and each attempt's
-    start.
+    ``tol`` bounds both the worst |norm^2 - 1| and the worst per-edge sum norm
+    of an accepted solution.  ``seed`` roots every random draw of the solve:
+    the basis rotation and each attempt's start.
     """
 
-    rank: int | None = None
     tol: float = DEFAULT_TOL
     seed: int = 0
 
-    def rank_for(self, H: Hypergraph) -> int:
-        if self.rank is not None:
-            return max(1, int(self.rank))
-        return min(H.n + 1, math.ceil(math.sqrt(2 * max(H.m, 1))) + 2)
+
+def rank_for(H: Hypergraph) -> int:
+    """Factor width of the full-space phase: min(n+1, ceil(sqrt(2m)) + 2)."""
+    return min(H.n + 1, math.ceil(math.sqrt(2 * max(H.m, 1))) + 2)
 
 
 @dataclass(frozen=True)
@@ -133,18 +133,17 @@ class GammaProfile:
 
     gamma: np.ndarray
     eps: float
-    balanced_mask: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=float)
-        object.__setattr__(self, "gamma", gamma)
-        if self.balanced_mask is None:
-            mask = (gamma >= -THIRD - self.eps) & (gamma <= -THIRD + self.eps)
-            object.__setattr__(self, "balanced_mask", mask)
+        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
 
     @property
     def n(self) -> int:
         return self.gamma.shape[0]
+
+    @property
+    def balanced_mask(self) -> np.ndarray:
+        return (self.gamma >= -THIRD - self.eps) & (self.gamma <= -THIRD + self.eps)
 
     @property
     def balanced(self) -> np.ndarray:
@@ -156,7 +155,7 @@ class GammaProfile:
 
     def restrict(self, old_ids) -> "GammaProfile":
         ids = np.asarray(list(old_ids), dtype=int)
-        return GammaProfile(self.gamma[ids], self.eps, self.balanced_mask[ids])
+        return GammaProfile(self.gamma[ids], self.eps)
 
 
 @dataclass(frozen=True)
@@ -399,15 +398,10 @@ def _reduced_lm(B: np.ndarray, Y: np.ndarray, tol: float, max_iters: int):
     return Y, iters, False
 
 
-def _reduced_rank_ladder(q: int, cap: int | None, max_dof: int = 1200) -> list[int]:
+def _reduced_rank_ladder(q: int) -> list[int]:
+    """Factor ranks the reduced LM tries on a q-dimensional null space."""
     ranks = sorted({min(q, r) for r in (3, 4, 6, 8)})
-    if q <= 8 and q not in ranks:
-        ranks.append(q)
-    if cap is not None:
-        ranks = sorted({min(r, cap) for r in ranks})
-    # Each LM step solves a dense (q*r)^2 system; keep that tractable and let
-    # the full-space phase handle very wide null spaces.
-    return [r for r in ranks if r >= 1 and q * r <= max_dof]
+    return [r for r in ranks if r >= 1 and q * r <= MAX_DOF]
 
 
 def solve_feasibility(
@@ -439,7 +433,7 @@ def solve_feasibility(
 
     E = H.edge_array()
     deg = H.degrees().astype(float)
-    r = cfg.rank_for(H)
+    r = rank_for(H)
 
     def full_space_attempt(X):
         X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
@@ -464,10 +458,10 @@ def solve_feasibility(
         # that bound alone empties it the basis is not built.
         q_low = H.n + 1 - H.m
         ranks = []
-        if q_low <= 8 or _reduced_rank_ladder(q_low, cfg.rank):
+        if q_low <= 8 or _reduced_rank_ladder(q_low):
             B = _edge_null_basis(H, cfg.seed)
             q = B.shape[1]
-            ranks = _reduced_rank_ladder(q, cfg.rank)
+            ranks = _reduced_rank_ladder(q)
         for rr in ranks:
             for attempt in range(2):
                 rng = substream(cfg.seed, f"sdp:reduced:{rr}:{attempt}")

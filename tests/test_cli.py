@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from lochroma.cli import main
+from lochroma.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv) -> int:
@@ -196,7 +201,7 @@ class TestSolveAndStats:
         assert run("--seed", 1, "gen", "--kind", "balanced", "--n", 30, "--m", 25,
                    "-o", out) == 0
         code = run("--seed", 2, "stats", out, "--cert", out.with_suffix(".cert"),
-                   "--draws", 20, "--delta-override", 4.0)
+                   "--draws", 20)
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "# schema=1"
@@ -253,3 +258,42 @@ class TestVerifyEdgeCases:
                        "--csv", csv) == 0
             blobs.append(csv.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("color", "a.h3", "--sdp-rank", "3"),
+            ("bench", "--sdp-rank", "3"),
+            ("solve", "a.h3", "--sdp-rank", "3"),
+            ("color", "a.h3", "--eps-prime", "1e-9"),
+            ("bench", "--reps", "4"),
+            ("color", "a.h3", "--delta-exponent", "0.5"),
+            ("bench", "--retry-budget", "5"),
+            ("stats", "a.h3", "--delta-override", "4.0"),
+        ],
+    )
+    def test_removed_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_matches_parser(self):
+        """Every ``--flag`` the README names exists, and every option is named."""
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            opt
+            for p in subparsers.choices.values()
+            for action in p._actions
+            for opt in action.option_strings
+            if opt.startswith("--")
+        } - {"--help"}
+        text = README.read_text(encoding="utf-8")
+        # pip's flag in the install instructions.
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)) - {"--no-build-isolation"}
+        assert sorted(named - options) == []
+        assert sorted(options - named) == []

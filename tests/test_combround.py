@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from lochroma import (
     plant_rank1_certificate,
     schedule,
 )
+from lochroma import combround
 from lochroma.combround import check_gamma_sums
 
 THIRD = 1.0 / 3.0
@@ -254,6 +256,47 @@ class TestBalancedLogColoring:
         coloring = balanced_log_coloring(inst.H, profile, ortho_profile(cert), seed=3)
         assert coloring.domain() == frozenset(range(6))
         assert check_lo(inst.H, coloring)
+
+    def test_unbalanced_profile_rejected_before_any_draw(self, monkeypatch):
+        # The rank-1 certificate puts every gamma at +-1, far from the band.
+        inst = gen_planted(30, 20, 1)
+        cert = plant_rank1_certificate(inst)
+        calls = []
+        monkeypatch.setattr(combround, "perturb_gammas", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="unbalanced"):
+            balanced_log_coloring(
+                inst.H, gamma_profile(cert, 1e-6), ortho_profile(cert), seed=0
+            )
+        assert calls == []
+
+    def test_degenerate_directions_rejected_before_any_draw(self, monkeypatch):
+        inst, cert = gen_balanced_tripartite(30, 25, 1)
+        profile = gamma_profile(cert, 1e-6)
+        op = replace(ortho_profile(cert), degenerate=frozenset({4}))
+        calls = []
+        monkeypatch.setattr(combround, "perturb_gammas", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="degenerate at \\[4\\]"):
+            balanced_log_coloring(inst.H, profile, op, seed=0)
+        assert calls == []
+
+    def test_budget_exhausted_when_every_perturbation_fails(self, monkeypatch):
+        inst, cert = gen_balanced_tripartite(30, 25, 1)
+        seeds = []
+
+        def failing(H_B, profile, ortho, seed, **kwargs):
+            seeds.append(seed)
+            raise ResampleBudgetExceeded("no acceptable perturbation in 100 draws")
+
+        monkeypatch.setattr(combround, "perturb_gammas", failing)
+        with pytest.raises(
+            ResampleBudgetExceeded,
+            match="no valid coloring in 20 attempts; last failure: no acceptable perturbation",
+        ):
+            balanced_log_coloring(
+                inst.H, gamma_profile(cert, 1e-6), ortho_profile(cert), seed=0
+            )
+        # One fresh substream per attempt.
+        assert len(set(seeds)) == len(seeds) == combround.RETRY_BUDGET == 20
 
 
 class TestRoundingProperties:

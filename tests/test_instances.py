@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,38 @@ class TestRank1Certificate:
         profile = gamma_profile(cert, 1e-3)
         assert profile.balanced.size == 0
         assert set(np.abs(profile.gamma).tolist()) == {1.0}
+
+
+class TestRejectionSampler:
+    """Both generators share one linear-edge sampler.  Its draws must stay
+    the same RNG calls in the same order, so the edge arrays are pinned by
+    SHA-256 prefixes taken before the two loops were merged."""
+
+    @pytest.mark.parametrize(
+        "gen, n, m, seed, digest",
+        [
+            (gen_planted, 30, 40, 7, "0a9556ed9e28380c"),
+            (gen_planted, 90, 120, 3, "de5003fcd6aeb540"),
+            (gen_planted, 300, 900, 11, "701533850f2563f8"),
+            (gen_balanced_tripartite, 30, 25, 1, "1af500246ddbab7a"),
+            (gen_balanced_tripartite, 90, 480, 2, "937c1c21321c6ea3"),
+            (gen_balanced_tripartite, 150, 300, 9, "e5641f17dc009187"),
+        ],
+    )
+    def test_edge_array_digest(self, gen, n, m, seed, digest):
+        out = gen(n, m, seed)
+        inst = out[0] if isinstance(out, tuple) else out
+        E = np.ascontiguousarray(inst.H.edge_array(), dtype="<i8")
+        assert hashlib.sha256(E.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "gen, n, m, seed, placed",
+        [(gen_planted, 4, 4, 1, 1), (gen_planted, 6, 9, 2, 2),
+         (gen_balanced_tripartite, 6, 9, 2, 4), (gen_balanced_tripartite, 9, 30, 1, 7)],
+    )
+    def test_budget_message(self, gen, n, m, seed, placed):
+        with pytest.raises(
+            GenerationError,
+            match=f"^placed only {placed} of {m} linear edges within the retry budget$",
+        ):
+            gen(n, m, seed)

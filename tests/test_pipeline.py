@@ -17,6 +17,7 @@ from lochroma import (
     color_balanced,
     combinatorial_rounding,
     combine,
+    degree_stats,
     extend_with_even,
     extend_with_odd,
     gamma_profile,
@@ -29,6 +30,7 @@ from lochroma import (
     ortho_profile,
     solve_feasibility,
 )
+from lochroma import pipeline
 from lochroma.rng import derive_seed
 
 
@@ -120,11 +122,21 @@ class TestColorBalanced:
         assert check_lo(inst.H, coloring)
         assert coloring.num_colors() <= 2
 
-    def test_uses_even_route_at_high_degree(self):
-        # delta_exponent near zero forces the even route immediately.
-        inst, cert = gen_balanced_tripartite(30, 25, 7)
-        cfg = PipelineConfig(seed=3, delta_exponent=1e-9)
-        coloring = color_balanced(inst.H, ortho_profile(cert), cfg)
+    def test_uses_even_route_at_high_degree(self, monkeypatch):
+        # Average degree 3 * 480 / 90 = 16 >= 90^(3/5) ~ 14.88, so the first
+        # round takes the even route at the default exponent.
+        inst, cert = gen_balanced_tripartite(90, 480, 1)
+        assert degree_stats(inst.H).delta_bar >= inst.H.n ** pipeline.DELTA_EXPONENT
+        calls = []
+        even = pipeline.even_independent_set
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].n)
+            return even(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "even_independent_set", counting)
+        coloring = color_balanced(inst.H, ortho_profile(cert), PipelineConfig(seed=3))
+        assert calls and calls[0] == 90
         assert check_lo(inst.H, coloring)
 
 
@@ -254,15 +266,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(strategy="fast")
 
-    def test_rejects_bad_exponent(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(delta_exponent=1.5)
-
     def test_rejects_eps_below_tol_floor(self):
-        from lochroma import SdpConfig
-
         with pytest.raises(ValueError):
-            PipelineConfig(eps=1e-9, sdp=SdpConfig(tol=1e-8))
+            PipelineConfig(eps=1e-9, tol=1e-8)
 
 
 class TestBalancedBranchEngaged:

@@ -16,6 +16,7 @@ from lochroma import (
     residual,
     solve_feasibility,
 )
+from lochroma.sdp import rank_for
 
 THIRD = 1.0 / 3.0
 
@@ -78,9 +79,8 @@ class TestSolver:
         assert sol.n == 0
 
     def test_default_rank_formula(self, planted30):
-        cfg = SdpConfig()
         # min(n + 1, ceil(sqrt(2m)) + 2) with n=30, m=40.
-        assert cfg.rank_for(planted30.H) == 11
+        assert rank_for(planted30.H) == 11
 
 
 class TestGammaProfile:
