@@ -10,6 +10,7 @@ rationals so the closed forms and the recurrence agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,10 +89,13 @@ def iteration_bound(eps) -> int:
     return k
 
 
+@functools.lru_cache
 def schedule(eps) -> IntervalSchedule:
     """All intervals until the first one inside [-1/3 - eps, -1/3 + eps].
 
     ``eps`` may be a float (used exactly, at its binary value) or a Fraction.
+    The result is frozen and depends on ``eps`` alone, so it is built once
+    per value; an invalid ``eps`` raises on every call.
     """
     e = Fraction(eps)
     if not (0 < e < Fraction(2, 3)):

@@ -6,6 +6,16 @@ shared Gaussian vector and keeps the vertices whose projection clears a
 threshold t chosen so the selection probability is alpha; vertices meeting a
 doubly-selected edge are then dropped, which forces the odd-intersection
 property on every draw.
+
+The draws of a round are handled as one batch (``_draw_batch``), and every
+public entry point goes through it.  Draw i still reads its own substream
+``round:{i}``; the uniforms of all draws are stacked into (draws, dim) arrays
+and Box-Muller runs once over them, which is elementwise and so gives the same
+floats as one draw at a time.  Edge hits are counted for all draws at once as
+a small-integer (draws, m) array.  The projection ``ubar @ g`` stays one
+matrix-vector product per draw: a single ``G @ ubar.T`` product sums in
+another order, and its projections differ from the per-draw ones in the last
+bits, so a vertex within rounding of t could change side.
 """
 
 from __future__ import annotations
@@ -18,11 +28,15 @@ from scipy.special import erfc, erfcinv
 
 from .combround import ResampleBudgetExceeded
 from .hypercore import Hypergraph, RankedColoring
-from .rng import normals, substream, unit_vector
+from .rng import box_muller, substream, unit_vector
 from .sdp import THIRD, OrthoProfile, VectorSolution, ortho_profile
 
 SQRT2 = math.sqrt(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Most draws ``threshold_trace`` holds at once, which bounds the memory of a
+# long trace; best_odd_is batches all of its 16 ceil(ln n) draws.
+TRACE_BATCH = 256
 
 
 def gcap(t):
@@ -84,17 +98,52 @@ def default_reps(n: int) -> int:
     return 16 * max(1, math.ceil(math.log(max(n, 2))))
 
 
-def _draw_selection(ortho: OrthoProfile, cfg: RoundingConfig, draw: int) -> np.ndarray:
-    """Draw ``draw``'s raw selection: one Gaussian from substream ``round:{draw}``."""
-    g = normals(substream(cfg.seed, f"round:{draw}"), ortho.dim)
-    return (ortho.ubar @ g) >= cfg.t
+def _selections(ortho: OrthoProfile, cfg: RoundingConfig, draws: range) -> np.ndarray:
+    """Raw selections of the given draws, one boolean row per draw.
+
+    Draw i's Gaussian comes from substream ``round:{i}``: ``dim`` uniforms for
+    ``u1``, then ``dim`` for ``u2``, exactly as ``normals`` reads them.
+    """
+    u1 = np.empty((len(draws), ortho.dim))
+    u2 = np.empty_like(u1)
+    for row, draw in enumerate(draws):
+        rng = substream(cfg.seed, f"round:{draw}")
+        rng.random(out=u1[row])
+        rng.random(out=u2[row])
+    g = box_muller(u1, u2)
+    selected = np.empty((len(draws), ortho.n), dtype=bool)
+    for row in range(len(draws)):
+        selected[row] = ortho.ubar @ g[row] >= cfg.t
+    return selected
+
+
+def _survivors(H_B: Hypergraph, selected: np.ndarray) -> np.ndarray:
+    """Each row of ``selected`` minus the vertices of every edge it hits twice or more."""
+    E = H_B.edge_array()
+    hits = selected[:, E].sum(axis=2, dtype=np.uint8)
+    rows, edges = np.nonzero(hits >= 2)
+    keep = selected.copy()
+    keep[rows[:, None], E[edges]] = False
+    return keep
+
+
+def _draw_batch(
+    H_B: Hypergraph,
+    ortho: OrthoProfile,
+    cfg: RoundingConfig,
+    draws: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(raw selections, surviving sets) of the given draws, as boolean rows."""
+    selected = _selections(ortho, cfg, draws)
+    return selected, _survivors(H_B, selected)
+
+
+def _vertex_set(row: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(row).tolist())
 
 
 def _drop_doubly_hit(H_B: Hypergraph, selected: np.ndarray) -> frozenset[int]:
-    E = H_B.edge_array()
-    keep = selected.copy()
-    keep[E[selected[E].sum(axis=1) >= 2].ravel()] = False
-    return frozenset(np.flatnonzero(keep).tolist())
+    return _vertex_set(_survivors(H_B, selected[None])[0])
 
 
 def sample_round(
@@ -104,7 +153,8 @@ def sample_round(
     draw: int = 0,
 ) -> frozenset[int]:
     """One threshold-rounding draw; output meets every edge at most once."""
-    return _drop_doubly_hit(H_B, _draw_selection(ortho, cfg, draw))
+    _, kept = _draw_batch(H_B, ortho, cfg, range(draw, draw + 1))
+    return _vertex_set(kept[0])
 
 
 def threshold_trace(
@@ -115,10 +165,10 @@ def threshold_trace(
 ) -> list[tuple[frozenset[int], frozenset[int]]]:
     """(raw selection, surviving set) per draw, on the config's seed stream."""
     out = []
-    for i in range(draws):
-        sel = _draw_selection(ortho, cfg, i)
-        raw = frozenset(int(v) for v in np.flatnonzero(sel))
-        out.append((raw, _drop_doubly_hit(H_B, sel)))
+    for start in range(0, draws, TRACE_BATCH):
+        batch = range(start, min(start + TRACE_BATCH, draws))
+        selected, kept = _draw_batch(H_B, ortho, cfg, batch)
+        out += [(_vertex_set(raw), _vertex_set(k)) for raw, k in zip(selected, kept)]
     return out
 
 
@@ -133,16 +183,12 @@ def best_odd_is(
     if reps is None:
         reps = default_reps(H_B.n)
     cfg = RoundingConfig.for_degree(delta, reps=reps, seed=seed)
-    best: frozenset[int] = frozenset()
-    best_key = None
-    for i in range(cfg.reps):
-        cand = sample_round(H_B, ortho, cfg, draw=i)
-        if len(cand) < len(best):
-            continue
-        key = (-len(cand), tuple(sorted(cand)))
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    _, kept = _draw_batch(H_B, ortho, cfg, range(cfg.reps))
+    sizes = kept.sum(axis=1)
+    tied = np.flatnonzero(sizes == sizes.max())
+    # Equal-length sorted vertex lists compare lexicographically.
+    best = min(tied, key=lambda row: np.flatnonzero(kept[row]).tolist())
+    return _vertex_set(kept[best])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ module instead of to a numpy version.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -26,14 +27,25 @@ def substream(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(seed, label)))
 
 
+def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals from two same-shape arrays of uniforms in [0, 1).
+
+    Elementwise, so a batch of rows gives the same floats as each row alone.
+    """
+    # 1 - u1 lies in (0, 1], so the log never sees zero.
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+
+
 def normals(rng: np.random.Generator, size) -> np.ndarray:
-    """Standard normal draws of the given shape via Box-Muller."""
-    count = int(np.prod(size))
+    """Standard normal draws of the given shape via Box-Muller.
+
+    The first ``prod(size)`` uniforms feed ``u1`` and the next as many ``u2``.
+    """
+    shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+    count = math.prod(shape)
     u1 = rng.random(count)
     u2 = rng.random(count)
-    # 1 - u1 lies in (0, 1], so the log never sees zero.
-    z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-    return z.reshape(size)
+    return box_muller(u1, u2).reshape(shape)
 
 
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

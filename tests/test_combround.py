@@ -102,6 +102,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule(0.0)
 
+    def test_built_once_per_eps(self):
+        assert schedule(1e-6) is schedule(1e-6)
+
+    def test_invalid_eps_raises_on_every_call(self):
+        # A raising call caches nothing, so a repeat raises again.
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                schedule(0.7)
+            with pytest.raises(ValueError):
+                schedule(-1e-6)
+
 
 class TestRounding:
     def test_single_edge_trace(self, single_edge):

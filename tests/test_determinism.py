@@ -1,4 +1,5 @@
-"""Colorings and iteration counts do not depend on the BLAS thread count."""
+"""Colorings, iteration counts and odd-set draws do not depend on the BLAS
+thread count."""
 
 from __future__ import annotations
 
@@ -24,21 +25,47 @@ for n, m, seed in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
+# Balanced inputs, which the planted cases never reach (balanced = 0 there):
+# color_balanced on low-degree tripartite certificates, and best_odd_is on
+# random directions.  n * dim is 9900 and 32000, above the 9216 below which
+# OpenBLAS runs a matrix-vector product on one thread whatever the setting.
+BALANCED_SCRIPT = """
+import json
+from lochroma import PipelineConfig, best_odd_is, gen_balanced_tripartite, ortho_profile
+from lochroma.pipeline import color_balanced
+from test_gaussround import random_linear_instance
+out = []
+for seed in range(3):
+    inst, cert = gen_balanced_tripartite(3300, 1650, seed)
+    coloring = color_balanced(inst.H, ortho_profile(cert), PipelineConfig(seed=seed))
+    out.append(sorted(coloring.items()))
+    H, op = random_linear_instance(2000, 3000, 16, seed)
+    out.append(sorted(best_odd_is(H, op, 4.0, seed=seed)))
+print(json.dumps(out))
+"""
 
-def _run(threads: int):
+
+def _run(threads: int, script: str, *argv: str):
     src = str(Path(lochroma.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, tests, env.get("PYTHONPATH")) if p)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(CASES)],
+        [sys.executable, "-c", script, *argv],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     )
     return json.loads(done.stdout)
 
 
 def test_same_colorings_and_iters_across_blas_threads():
-    one, two = _run(1), _run(2)
+    one, two = _run(1, SCRIPT, json.dumps(CASES)), _run(2, SCRIPT, json.dumps(CASES))
     for case, a, b in zip(CASES, one, two):
         assert a == b, f"planted (n, m, seed) = {case} differs between 1 and 2 BLAS threads"
+
+
+def test_same_balanced_rounding_across_blas_threads():
+    one, two = _run(1, BALANCED_SCRIPT), _run(2, BALANCED_SCRIPT)
+    assert len(one) == 6 and all(one)
+    assert one == two

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -29,7 +30,8 @@ from lochroma import (
     threshold_trace,
     two_sided_round,
 )
-from lochroma.gaussround import _drop_doubly_hit, default_reps
+from lochroma.gaussround import TRACE_BATCH, _drop_doubly_hit, default_reps
+from lochroma.rng import normals, substream
 
 
 def tail_oracle(t: float) -> float:
@@ -273,6 +275,67 @@ class TestBestOddISEarlySkip:
         H, op = _RANDOM_INSTANCE
         got = best_odd_is(H, op, delta, reps=reps, seed=seed)
         assert got == best_odd_is_reference(H, op, delta, reps, seed)
+
+
+def draw_reference(H, ortho, cfg, draw):
+    """(raw, kept) of one draw from its own stream, one matrix-vector
+    product and the set-based drop; no gaussround internals."""
+    g = normals(substream(cfg.seed, f"round:{draw}"), ortho.dim)
+    selected = (ortho.ubar @ g) >= cfg.t
+    raw = frozenset(int(v) for v in np.flatnonzero(selected))
+    return raw, drop_doubly_hit_reference(H, selected)
+
+
+class TestBatchMatchesPerDrawReference:
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([4.0, 9.0, 30.0]),
+        st.sampled_from([None, 0.15]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_trace_and_best(self, reps, seed, delta, alpha):
+        # _RANDOM_INSTANCE makes small draws, so equal sizes are common and the
+        # lexicographic tie-break decides; alpha 0.15 makes doubly hit edges common.
+        H, op = _RANDOM_INSTANCE
+        cfg = RoundingConfig.for_degree(delta, reps=reps, seed=seed, alpha_override=alpha)
+        ref = [draw_reference(H, op, cfg, i) for i in range(reps)]
+        assert threshold_trace(H, op, cfg, reps) == ref
+        assert sample_round(H, op, cfg, draw=reps - 1) == ref[-1][1]
+        if alpha is None:
+            best = min((kept for _, kept in ref), key=lambda S: (-len(S), sorted(S)))
+            assert best_odd_is(H, op, delta, reps=reps, seed=seed) == best
+
+    def test_trace_longer_than_one_batch(self):
+        H, op = _RANDOM_INSTANCE
+        cfg = RoundingConfig.for_degree(4.0, seed=8, alpha_override=0.15)
+        draws = TRACE_BATCH + 3
+        assert threshold_trace(H, op, cfg, draws) == [
+            draw_reference(H, op, cfg, i) for i in range(draws)
+        ]
+
+
+def _set_digest(S) -> str:
+    return hashlib.sha256(repr(sorted(S)).encode()).hexdigest()[:16]
+
+
+class TestBestOddISGolden:
+    """Pinned outputs: any reimplementation of the draws must reproduce them."""
+
+    def test_random_instance(self):
+        H, op = _RANDOM_INSTANCE
+        S = best_odd_is(H, op, 4.0, reps=32, seed=3)
+        assert (len(S), _set_digest(S)) == (5, "8196dd5a9ac08961")
+
+    def test_larger_random_instance_default_reps(self):
+        H, op = random_linear_instance(300, 500, 7, 1)
+        S = best_odd_is(H, op, 9.0, seed=11)
+        assert (len(S), _set_digest(S)) == (12, "45d0184d15266edb")
+
+    def test_tripartite_certificate(self):
+        inst, cert = gen_balanced_tripartite(60, 50, 6)
+        S = best_odd_is(inst.H, ortho_profile(cert), 4.0, seed=4)
+        assert (len(S), _set_digest(S)) == (20, "81c7cf237f1b951d")
 
 
 class TestBestOddIS:
