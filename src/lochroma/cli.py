@@ -246,8 +246,7 @@ def cmd_stats(args) -> int:
         print(f"solver stalled: {exc}", file=sys.stderr)
         return EXIT_STALL
     cfg = RoundingConfig.for_degree(
-        degree_stats(H).delta_bar, reps=args.draws, seed=args.seed,
-        alpha_override=args.alpha_override,
+        degree_stats(H).delta_bar, seed=args.seed, alpha_override=args.alpha_override,
     )
     trace = threshold_trace(H, ortho_profile(sol), cfg, args.draws)
     print(CSV_SCHEMA_COMMENT)

@@ -63,7 +63,7 @@ def _kernel_phase(H: Hypergraph) -> set[int]:
     return {v for v in range(H.n) if (current >> v) & 1}
 
 
-def even_independent_set(H: Hypergraph, delta: float | None = None) -> frozenset[int]:
+def even_independent_set(H: Hypergraph) -> frozenset[int]:
     """Best even independent set found; nonempty whenever one exists.
 
     Requires a linear hypergraph.  Takes the parity-kernel hill climb and,

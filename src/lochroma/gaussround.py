@@ -72,14 +72,12 @@ class RoundingConfig:
     delta: float
     alpha: float
     t: float
-    reps: int
     seed: int
 
     @classmethod
     def for_degree(
         cls,
         delta: float,
-        reps: int = 1,
         seed: int = 0,
         alpha_override: float | None = None,
     ) -> "RoundingConfig":
@@ -90,7 +88,7 @@ class RoundingConfig:
         t = gcap_inv(alpha)
         if abs(gcap(t) - alpha) > 1e-12:
             raise AssertionError("threshold inversion missed tolerance")
-        return cls(delta, alpha, t, max(1, int(reps)), int(seed))
+        return cls(delta, alpha, t, int(seed))
 
 
 def default_reps(n: int) -> int:
@@ -180,10 +178,9 @@ def best_odd_is(
     seed: int = 0,
 ) -> frozenset[int]:
     """Largest surviving set over repeated draws (ties: lexicographically smallest)."""
-    if reps is None:
-        reps = default_reps(H_B.n)
-    cfg = RoundingConfig.for_degree(delta, reps=reps, seed=seed)
-    _, kept = _draw_batch(H_B, ortho, cfg, range(cfg.reps))
+    reps = default_reps(H_B.n) if reps is None else max(1, int(reps))
+    cfg = RoundingConfig.for_degree(delta, seed=seed)
+    _, kept = _draw_batch(H_B, ortho, cfg, range(reps))
     sizes = kept.sum(axis=1)
     tied = np.flatnonzero(sizes == sizes.max())
     # Equal-length sorted vertex lists compare lexicographically.

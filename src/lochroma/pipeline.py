@@ -203,20 +203,18 @@ def color_balanced(H_B: Hypergraph, ortho: OrthoProfile, cfg: PipelineConfig) ->
         stats = degree_stats(sub)
         kind: str
         if stats.delta_bar >= len(remaining) ** DELTA_EXPONENT:
-            S_sub = even_independent_set(sub, stats.delta_bar)
+            S_sub = even_independent_set(sub)
             kind = "even"
         else:
             S_sub = gaussround.best_odd_is(
                 sub,
                 ortho.restrict(ids),
                 stats.delta_bar,
-                reps=gaussround.default_reps(sub.n),
                 seed=derive_seed(cfg.seed, f"balanced:round:{round_no}"),
             )
             kind = "odd"
         if not S_sub:
-            degs = sub.degrees()
-            isolated = [int(v) for v in np.flatnonzero(degs == 0)]
+            isolated = [int(v) for v in np.flatnonzero(stats.degrees == 0)]
             if isolated:
                 S_sub, kind = frozenset(isolated), "even"
             else:

@@ -5,14 +5,18 @@ The edge constraints are linear in the stacked factor, so the primary method
 eliminates them exactly: restrict the factor to the null space of the edge
 indicator vectors (edge sums then vanish to machine precision by
 construction) and solve the remaining unit-norm system by Levenberg-Marquardt
-over a ladder of small factor ranks.  The basis comes from the short side of
-the sparse (n+1) x m incidence Z: the zero eigenvectors of the (n+1) x (n+1)
-Gram when m >= n+1, turned to a seeded rotation so the result does not move
-with BLAS threading, and a dense SVD of the m x (n+1) transpose otherwise.
-It is not built when n+1-m alone leaves the rank ladder empty.  Small ranks
-matter: surplus rank adds flat directions along which the polish crawls.
-If the ladder stalls or is empty, the only fallback is a full-space phase:
-damped renormalized penalty descent plus an LM polish, from seeded restarts.
+at one small factor rank, min(q, 3) for a q-dimensional null space.  Under the
+2-LO promise the hidden coloring is itself a rank-1 feasible point (top
+vertices at +v*, base vertices at -v*), so a rank-3 factor of the null space
+always contains one; surplus rank only adds flat directions along which the
+polish crawls.  The basis comes from the short side of the sparse (n+1) x m
+incidence Z: the zero eigenvectors of the (n+1) x (n+1) Gram when m >= n+1,
+turned to a seeded rotation so the result does not move with BLAS threading,
+and a dense SVD of the m x (n+1) transpose otherwise.  It is not built when
+n+1-m alone puts the reduced system above ``MAX_DOF``.  If both reduced
+attempts stall or the system is too large, the only fallback is a
+full-space phase: damped renormalized penalty descent plus an LM polish,
+from seeded restarts.
 It works on the same incidence: the per-vertex sums of the edge residuals
 are one sparse product with Z's vertex rows, stored in the order a per-edge
 ``np.add.at`` scatter visits them so the sums are bit-identical to it, and
@@ -37,12 +41,14 @@ from .rng import normals, substream
 DEFAULT_TOL = 1e-8
 
 # The full-space phase: penalty-descent sweeps per attempt, and seeded
-# restarts after the rank ladder.
+# restarts after the reduced phase.
 MAX_SWEEPS = 800
 RESTARTS = 5
 
-# Each reduced LM step solves a dense (q*r)^2 system; rungs with q*r above
-# this are left to the full-space phase.
+# Factor rank of the reduced LM (min(q, REDUCED_RANK) on a q-dimensional null
+# space).  Each reduced step solves a dense (q*r)^2 system; null spaces with
+# q*r above MAX_DOF are left to the full-space phase.
+REDUCED_RANK = 3
 MAX_DOF = 1200
 
 THIRD = 1.0 / 3.0
@@ -398,12 +404,6 @@ def _reduced_lm(B: np.ndarray, Y: np.ndarray, tol: float, max_iters: int):
     return Y, iters, False
 
 
-def _reduced_rank_ladder(q: int) -> list[int]:
-    """Factor ranks the reduced LM tries on a q-dimensional null space."""
-    ranks = sorted({min(q, r) for r in (3, 4, 6, 8)})
-    return [r for r in ranks if r >= 1 and q * r <= MAX_DOF]
-
-
 def solve_feasibility(
     H: Hypergraph,
     cfg: SdpConfig | None = None,
@@ -454,20 +454,18 @@ def solve_feasibility(
             yield full_space_attempt(X)
 
         # Phase 1: exact edge-constraint elimination, unit norms by reduced LM.
-        # q >= n+1-m, and above 8 the ladder only shrinks as q grows, so when
-        # that bound alone empties it the basis is not built.
-        q_low = H.n + 1 - H.m
-        ranks = []
-        if q_low <= 8 or _reduced_rank_ladder(q_low):
+        # q >= n+1-m, so when that bound alone puts the system above MAX_DOF
+        # the basis is not built.
+        if REDUCED_RANK * (H.n + 1 - H.m) <= MAX_DOF:
             B = _edge_null_basis(H, cfg.seed)
             q = B.shape[1]
-            ranks = _reduced_rank_ladder(q)
-        for rr in ranks:
-            for attempt in range(2):
-                rng = substream(cfg.seed, f"sdp:reduced:{rr}:{attempt}")
-                Y0 = normals(rng, (q, rr)) / math.sqrt(rr)
-                Y, it, ok = _reduced_lm(B, Y0, cfg.tol, 300)
-                yield B @ Y, it, ok
+            rr = min(q, REDUCED_RANK)
+            if q * rr <= MAX_DOF:
+                for attempt in range(2):
+                    rng = substream(cfg.seed, f"sdp:reduced:{rr}:{attempt}")
+                    Y0 = normals(rng, (q, rr)) / math.sqrt(rr)
+                    Y, it, ok = _reduced_lm(B, Y0, cfg.tol, 300)
+                    yield B @ Y, it, ok
 
         # Phase 2: full-space penalty descent plus LM polish, random restarts.
         for attempt in range(RESTARTS):

@@ -116,7 +116,7 @@ class TestAlphaFor:
 
 class TestRoundingConfig:
     def test_threshold_consistency(self):
-        cfg = RoundingConfig.for_degree(4.0, reps=3, seed=1)
+        cfg = RoundingConfig.for_degree(4.0, seed=1)
         assert cfg.alpha == pytest.approx(alpha_for(4.0))
         assert abs(gcap(cfg.t) - cfg.alpha) <= 1e-12
         assert cfg.t >= 1.0
@@ -173,9 +173,9 @@ def drop_doubly_hit_reference(H, selected):
 
 def best_odd_is_reference(H, ortho, delta, reps, seed):
     """Largest draw, building the full tie-break key on every draw."""
-    cfg = RoundingConfig.for_degree(delta, reps=reps, seed=seed)
+    cfg = RoundingConfig.for_degree(delta, seed=seed)
     best, best_key = frozenset(), None
-    for i in range(cfg.reps):
+    for i in range(reps):
         cand = sample_round(H, ortho, cfg, draw=i)
         key = (-len(cand), tuple(sorted(cand)))
         if best_key is None or key < best_key:
@@ -298,7 +298,7 @@ class TestBatchMatchesPerDrawReference:
         # _RANDOM_INSTANCE makes small draws, so equal sizes are common and the
         # lexicographic tie-break decides; alpha 0.15 makes doubly hit edges common.
         H, op = _RANDOM_INSTANCE
-        cfg = RoundingConfig.for_degree(delta, reps=reps, seed=seed, alpha_override=alpha)
+        cfg = RoundingConfig.for_degree(delta, seed=seed, alpha_override=alpha)
         ref = [draw_reference(H, op, cfg, i) for i in range(reps)]
         assert threshold_trace(H, op, cfg, reps) == ref
         assert sample_round(H, op, cfg, draw=reps - 1) == ref[-1][1]
@@ -344,6 +344,10 @@ class TestBestOddIS:
         op = ortho_profile(cert)
         cfg = RoundingConfig.for_degree(4.0, seed=9)
         assert best_odd_is(inst.H, op, 4.0, reps=1, seed=9) == sample_round(
+            inst.H, op, cfg, draw=0
+        )
+        # Fewer than one draw is clamped to one.
+        assert best_odd_is(inst.H, op, 4.0, reps=0, seed=9) == sample_round(
             inst.H, op, cfg, draw=0
         )
 

@@ -16,7 +16,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from lochroma import Hypergraph, SdpConfig, gen_planted, residual, solve_feasibility
 from lochroma import sdp
 from lochroma.hypercore import is_linear
-from lochroma.sdp import _edge_null_basis, _reduced_lm, _reduced_rank_ladder
+from lochroma.sdp import _edge_null_basis, _reduced_lm
 
 
 @st.composite
@@ -71,23 +71,13 @@ def test_edge_null_basis_rotation_follows_seed():
     assert np.abs(B1 @ B1.T - B2 @ B2.T).max() <= 1e-12
 
 
-@given(
-    q_low=st.integers(min_value=9, max_value=2000),
-    extra=st.integers(min_value=0, max_value=2000),
-)
-@settings(max_examples=200, deadline=None)
-def test_rank_ladder_shrinks_as_q_grows(q_low, extra):
-    """Above q = 8 a wider null space never adds a rank; the basis skip relies on it."""
-    assert set(_reduced_rank_ladder(q_low + extra)) <= set(_reduced_rank_ladder(q_low))
-
-
-def test_solve_skips_basis_when_bound_empties_ladder(monkeypatch):
-    # 200 disjoint edges on 600 vertices: q >= n+1-m = 401, and 401*3 > 1200.
+def test_solve_skips_basis_when_bound_exceeds_max_dof(monkeypatch):
+    # 200 disjoint edges on 600 vertices: q >= n+1-m = 401, and 3*401 > 1200.
     H = Hypergraph(600, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(200)])
-    assert _reduced_rank_ladder(H.n + 1 - H.m) == []
+    assert sdp.REDUCED_RANK * (H.n + 1 - H.m) > sdp.MAX_DOF
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("null-space basis built for an empty rank ladder")
+        raise AssertionError("null-space basis built for a reduced system above MAX_DOF")
 
     monkeypatch.setattr(sdp, "_edge_null_basis", forbidden)
     sol = solve_feasibility(H, SdpConfig(seed=0))
@@ -304,12 +294,37 @@ def test_lm_polish_matches_reference(inputs, iters, tol):
     assert (ig, okg) == (iw, okw)
 
 
+def _stalled_reduced_lm(calls):
+    """A stand-in for ``_reduced_lm`` that records the start and reports a stall."""
+
+    def stall(B, Y, tol, max_iters):
+        calls.append(Y.shape)
+        return Y, max_iters, False
+
+    return stall
+
+
 def test_full_space_phase_solves_planted(monkeypatch):
-    """With the rank ladder emptied, phase 2 alone returns a feasible solution."""
+    """With every reduced attempt stalled, phase 2 alone returns a feasible solution."""
     H = gen_planted(30, 15, 4).H
-    monkeypatch.setattr(sdp, "_reduced_rank_ladder", lambda *args, **kwargs: [])
+    monkeypatch.setattr(sdp, "_reduced_lm", _stalled_reduced_lm([]))
     cfg = SdpConfig(seed=0)
     sol = solve_feasibility(H, cfg)
     assert sol.norm_residual <= cfg.tol and sol.edge_residual <= cfg.tol
+    nr, er = residual(H, sol)
+    assert nr <= cfg.tol and er <= cfg.tol
+
+
+def test_reduced_phase_tries_rank_three_twice(monkeypatch):
+    """On a null space of dimension q >= 4 phase 1 makes exactly two attempts,
+    both at rank 3, before the full-space phase takes over."""
+    H = gen_planted(40, 20, 2).H
+    q = _edge_null_basis(H, 0).shape[1]
+    assert q >= 4
+    calls = []
+    monkeypatch.setattr(sdp, "_reduced_lm", _stalled_reduced_lm(calls))
+    cfg = SdpConfig(seed=0)
+    sol = solve_feasibility(H, cfg)
+    assert calls == [(q, 3), (q, 3)]
     nr, er = residual(H, sol)
     assert nr <= cfg.tol and er <= cfg.tol
