@@ -5,22 +5,21 @@ The edge constraints are linear in the stacked factor, so the primary method
 eliminates them exactly: restrict the factor to the null space of the edge
 indicator vectors (edge sums then vanish to machine precision by
 construction) and solve the remaining unit-norm system by Levenberg-Marquardt
-at one small factor rank, min(q, 3) for a q-dimensional null space.  Under the
+at a small factor rank, min(q, 3) for a q-dimensional null space.  Under the
 2-LO promise the hidden coloring is itself a rank-1 feasible point (top
 vertices at +v*, base vertices at -v*), so a rank-3 factor of the null space
-always contains one; surplus rank only adds flat directions along which the
-polish crawls.  The basis comes from the short side of the sparse (n+1) x m
-incidence Z: the zero eigenvectors of the (n+1) x (n+1) Gram when m >= n+1,
-turned to a seeded rotation so the result does not move with BLAS threading,
-and a dense SVD of the m x (n+1) transpose otherwise.  It is not built when
-n+1-m alone puts the reduced system above ``MAX_DOF``.  If both reduced
-attempts stall or the system is too large, the only fallback is a
-full-space phase: damped renormalized penalty descent plus an LM polish,
-from seeded restarts.
-It works on the same incidence: the per-vertex sums of the edge residuals
-are one sparse product with Z's vertex rows, stored in the order a per-edge
-``np.add.at`` scatter visits them so the sums are bit-identical to it, and
-the polish's Gauss-Newton matrix is Z Z^T.
+always contains one.  Where both rank-3 attempts stall, two more run at a
+wider rank, up to 8, where the Burer-Monteiro landscape is more benign
+(Boumal, Voroninski & Bandeira 2016).  Each solve builds the sparse
+(n+1) x m incidence Z and its Gram G = Z Z^T once.  The basis spans the zero
+eigenvectors of G, turned to a seeded rotation so that it does not depend on
+the rotation eigh returns, which moves with BLAS threading; it is not built
+when n+1-m alone puts the reduced system above ``MAX_DOF``.  The only
+fallback is a full-space phase: damped renormalized penalty descent plus an
+LM polish, from seeded restarts.  Its per-vertex sums of edge residuals are
+one product with Z's vertex rows, stored in the order a per-edge
+``np.add.at`` scatter visits them (so the sums are bit-identical to it), the
+degrees are G's diagonal, and the polish's Gauss-Newton matrix is G.
 A stall is never reported as an infeasibility certificate; it carries the
 residuals of the best candidate (smallest worst-residual) as evidence.
 """
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, null_space
+from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .hypercore import Hypergraph
@@ -45,11 +44,19 @@ DEFAULT_TOL = 1e-8
 MAX_SWEEPS = 800
 RESTARTS = 5
 
-# Factor rank of the reduced LM (min(q, REDUCED_RANK) on a q-dimensional null
-# space).  Each reduced step solves a dense (q*r)^2 system; null spaces with
-# q*r above MAX_DOF are left to the full-space phase.
+# Reduced-LM ranks on a q-dimensional null space: min(q, REDUCED_RANK), then
+# min(q, WIDE_RANK, MAX_DOF // q) if larger.  Each step solves a dense (q*r)^2
+# system; null spaces with q*r above MAX_DOF go to the full-space phase.
 REDUCED_RANK = 3
+WIDE_RANK = 8
 MAX_DOF = 1200
+
+# Eigenvalues of the edge Gram G up to NULL_CUT * ||G||_inf span the null
+# space.  In units of ||G||_inf, over 137 planted cores (n = 150-900) the zero
+# ones were at most 7.0e-17, and the nonzero ones at least 9.6e-6 with m >= n+1
+# and 4.87e-10 with m < n+1 (the core of gen_planted(900, 810, 2)), so the cut
+# clears both sides by about 480x or more.
+NULL_CUT = 1e-12
 
 THIRD = 1.0 / 3.0
 
@@ -206,15 +213,17 @@ def residual(H: Hypergraph, sol: VectorSolution) -> tuple[float, float]:
     return _residuals(H, sol.vstar, sol.vecs)
 
 
-def _edge_incidence(E: np.ndarray, n: int) -> sp.csr_matrix:
-    """The (n+1) x m edge incidence Z: column e has ones at rows a, b, c and n.
+def _edge_incidence(E: np.ndarray, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The (n+1) x m edge incidence Z and its Gram G = Z Z^T.
 
-    Each vertex row stores its columns in the order ``np.add.at`` visits them
-    when scattering over ``E[:, 0]``, ``E[:, 1]``, ``E[:, 2]`` in turn: the
-    edges where the vertex sits at position 0, then 1, then 2, each group in
-    edge order (a stable argsort of ``E.T.ravel()``).  Row n lists every edge
-    in order.  The indices are left in that order on purpose; sorting them
-    would change the order in which ``Z @ T`` adds each row's terms.
+    Column e of Z has ones at rows a, b, c and n.  Each vertex row stores
+    its columns in the order ``np.add.at`` visits them when scattering over
+    ``E[:, 0]``, ``E[:, 1]``, ``E[:, 2]`` in turn: the edges where the vertex
+    sits at position 0, then 1, then 2, each group in edge order (a stable
+    argsort of ``E.T.ravel()``).  Row n lists every edge in order.  These
+    indices are left in that order on purpose; sorting them would change the
+    order in which ``Z @ T`` adds each row's terms.  G's indices are sorted,
+    as the polish's CG matvec sums in stored order.
     """
     m = len(E)
     rows = np.concatenate([E.T.ravel(), np.full(m, n)])
@@ -222,27 +231,29 @@ def _edge_incidence(E: np.ndarray, n: int) -> sp.csr_matrix:
     indptr = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n + 1), out=indptr[1:])
     cols = np.tile(np.arange(m), 4)[order]
-    return sp.csr_matrix((np.ones(4 * m), cols, indptr), shape=(n + 1, m))
+    Z = sp.csr_matrix((np.ones(4 * m), cols, indptr), shape=(n + 1, m))
+    G = Z @ Z.T
+    G.sort_indices()
+    return Z, G
 
 
-def _penalty_descent(X, E, deg, tol, max_sweeps, omega=0.5, patience=150):
+def _penalty_descent(X, E, Z, G, tol, max_sweeps, omega=0.5, patience=150):
     """Damped renormalized block descent on the summed edge penalty.
 
     Each sweep moves every row toward the negated sum of the residuals of
-    its edges, less its own degree-weighted vector.  The vertex sums are one
-    product ``S @ T`` with S the vertex rows of the incidence Z, built once
-    per call; S stores each row in scatter order, so the product adds the
-    same floats in the same order, starting from zero, as three
-    ``np.add.at`` calls over ``E[:, 0]``, ``E[:, 1]`` and ``E[:, 2]``.  The
-    special row's sum is ``T.sum(axis=0)``.  Rows of degree 0 are left
-    untouched.  Stops at tolerance or when the residual has not improved by
-    0.1% for ``patience`` sweeps (plateau), handing off to the second-order
-    polish.
+    its edges, less its own degree-weighted vector; the degrees, with m for
+    the special row, are the diagonal of the Gram G = Z Z^T.  The vertex
+    sums are one product ``S @ T`` with S the vertex rows of the incidence
+    Z; S stores each row in scatter order, so the product adds the same
+    floats in the same order, starting from zero, as three ``np.add.at``
+    calls over ``E[:, 0]``, ``E[:, 1]`` and ``E[:, 2]``.  The special row's
+    sum is ``T.sum(axis=0)``.  Rows of degree 0 are left untouched.  Stops
+    at tolerance or when the residual has not improved by 0.1% for
+    ``patience`` sweeps (plateau), handing off to the second-order polish.
     """
-    n1 = X.shape[0]
-    n = n1 - 1
-    S = _edge_incidence(E, n)[:n]
-    degall = np.concatenate([deg, [float(len(E))]])
+    n = X.shape[0] - 1
+    S = Z[:n]
+    degall = G.diagonal()
     active = degall > 0
     W = np.empty_like(X)
     res = 0.0
@@ -278,19 +289,16 @@ def _penalty_descent(X, E, deg, tol, max_sweeps, omega=0.5, patience=150):
     return X, max_sweeps, res
 
 
-def _lm_polish(X, E, tol, max_iters):
+def _lm_polish(X, E, Z, G, tol, max_iters):
     """Levenberg-Marquardt on stacked edge-sum and unit-norm residuals.
 
-    The Gauss-Newton matrix of the edge part is Z Z^T, with its indices
-    sorted (the CG matvec sums in stored order); J^T F's edge part is the
-    scatter ``Z[:n] @ T`` plus the special row's ``T.sum(axis=0)``.
+    The Gauss-Newton matrix of the edge part is the Gram G = Z Z^T; J^T F's
+    edge part is the scatter ``Z[:n] @ T`` plus the special row's
+    ``T.sum(axis=0)``.
     """
     n1, r = X.shape
     n = n1 - 1
-    Z = _edge_incidence(E, n)
     S = Z[:n]
-    A = Z @ Z.T
-    A.sort_indices()
 
     def residual_parts(Y):
         T = Y[E[:, 0]] + Y[E[:, 1]] + Y[E[:, 2]] + Y[n] if len(E) else np.zeros((0, r))
@@ -317,7 +325,7 @@ def _lm_polish(X, E, tol, max_iters):
 
         def matvec(dvec):
             D = dvec.reshape(n1, r)
-            out = A @ D
+            out = G @ D
             out = out + 4.0 * ((Xc * D).sum(axis=1))[:, None] * Xc
             return (out + lam * D).ravel()
 
@@ -336,36 +344,24 @@ def _lm_polish(X, E, tol, max_iters):
     return X, iters, False
 
 
-def _edge_null_basis(H: Hypergraph, seed: int = 0) -> np.ndarray:
+def _edge_null_basis(G: sp.csr_matrix, seed: int = 0) -> np.ndarray:
     """Orthonormal basis of the space orthogonal to every edge indicator.
 
     Any stacked factor built from these columns satisfies all edge-sum
     constraints identically; only the unit-norm rows remain to be arranged.
 
-    The (n+1) x m incidence Z (four ones per edge column) is decomposed on
-    its short side.  With m >= n+1 the basis spans the eigenvectors of the
-    (n+1) x (n+1) Gram Z Z^T whose eigenvalues are numerically zero; the
-    m x m left factor of a full SVD is never formed.  Eigenvectors of a zero
-    cluster are an arbitrary rotation of the subspace that moves with BLAS
-    threading, so the basis is re-derived as orth(P S), with P the projector
-    onto the computed subspace and S a Gaussian draw from a named substream
-    of ``seed``.  With m < n+1 the dense SVD of the m x (n+1) matrix Z^T is
-    the short side and is kept as is.
+    The edge indicators are the columns of the incidence Z, so the basis
+    spans the eigenvectors of the Gram G = Z Z^T with eigenvalues up to
+    ``NULL_CUT * ||G||_inf``.  Eigenvectors of a zero cluster are an
+    arbitrary rotation of the subspace that moves with BLAS threading, so
+    the basis is re-derived as orth(P S), with P the projector onto the
+    computed subspace and S a Gaussian draw from a named substream of
+    ``seed``.
     """
-    N = H.n + 1
-    Z = _edge_incidence(H.edge_array(), H.n)
-    if Z.shape[1] < N:
-        return null_space(Z.toarray().T)
-    G = (Z @ Z.T).toarray()
-    # Z has small integer entries, so the nonzero eigenvalues of G stay well
-    # clear of zero, while eigh leaves the zero ones at rounding level
-    # (~1e-16 * ||G||).  On planted m = 3n cores, n = 600-1200, the smallest
-    # nonzero eigenvalue was 0.69-1.19 and the zero ones were below 9e-14;
-    # the cut 1e-10 * ||G||_inf (7e-7 to 1.4e-6 there) clears both by more
-    # than five orders of magnitude.
-    cut = 1e-10 * float(G.sum(axis=1).max())
-    _, U = eigh(G, subset_by_value=(-np.inf, cut), driver="evr")
-    S = normals(substream(seed, "sdp:null-rotation"), (N, U.shape[1]))
+    Gd = G.toarray()
+    cut = NULL_CUT * float(Gd.sum(axis=1).max())
+    _, U = eigh(Gd, subset_by_value=(-np.inf, cut), driver="evr")
+    S = normals(substream(seed, "sdp:null-rotation"), (Gd.shape[0], U.shape[1]))
     B, _ = np.linalg.qr(U @ (U.T @ S))
     return B
 
@@ -432,14 +428,14 @@ def solve_feasibility(
             return VectorSolution(vstar, vecs, nr, er, tol=cfg.tol, iters=0)
 
     E = H.edge_array()
-    deg = H.degrees().astype(float)
+    Z, G = _edge_incidence(E, H.n)
     r = rank_for(H)
 
     def full_space_attempt(X):
         X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
         # The first-order phase only needs to reach the polish method's basin.
-        X, sweeps, _ = _penalty_descent(X, E, deg, max(cfg.tol, 5e-2), MAX_SWEEPS)
-        X, lm_iters, ok = _lm_polish(X, E, cfg.tol, 80)
+        X, sweeps, _ = _penalty_descent(X, E, Z, G, max(cfg.tol, 5e-2), MAX_SWEEPS)
+        X, lm_iters, ok = _lm_polish(X, E, Z, G, cfg.tol, 80)
         return X, sweeps + lm_iters, ok
 
     def attempts():
@@ -457,13 +453,16 @@ def solve_feasibility(
         # q >= n+1-m, so when that bound alone puts the system above MAX_DOF
         # the basis is not built.
         if REDUCED_RANK * (H.n + 1 - H.m) <= MAX_DOF:
-            B = _edge_null_basis(H, cfg.seed)
+            B = _edge_null_basis(G, cfg.seed)
             q = B.shape[1]
             rr = min(q, REDUCED_RANK)
-            if q * rr <= MAX_DOF:
+            # r2 > rr implies q * rr <= MAX_DOF; q >= 1, as (1, ..., 1, -3) is null.
+            r2 = min(q, WIDE_RANK, MAX_DOF // q)
+            ranks = (rr, r2) if r2 > rr else (rr,) if q * rr <= MAX_DOF else ()
+            for rank in ranks:
                 for attempt in range(2):
-                    rng = substream(cfg.seed, f"sdp:reduced:{rr}:{attempt}")
-                    Y0 = normals(rng, (q, rr)) / math.sqrt(rr)
+                    rng = substream(cfg.seed, f"sdp:reduced:{rank}:{attempt}")
+                    Y0 = normals(rng, (q, rank)) / math.sqrt(rank)
                     Y, it, ok = _reduced_lm(B, Y0, cfg.tol, 300)
                     yield B @ Y, it, ok
 

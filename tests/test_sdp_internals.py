@@ -1,5 +1,6 @@
-"""Solver internals: the edge null-space basis, the skip of an unused basis,
-the reduced LM step and the full-space fallback's sparse edge scatter."""
+"""Solver internals: the edge null-space basis and its eigenvalue cut, the
+skip of an unused basis, the reduced LM step and its two ranks, and the
+full-space fallback's sparse edge scatter."""
 
 from __future__ import annotations
 
@@ -10,12 +11,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import null_space
+from scipy.linalg import eigvalsh, null_space
 from scipy.sparse.linalg import LinearOperator, cg
 
 from lochroma import Hypergraph, SdpConfig, gen_planted, residual, solve_feasibility
 from lochroma import sdp
-from lochroma.hypercore import is_linear
+from lochroma.hypercore import induced, is_linear, make_linear
+from lochroma.rng import derive_seed
 from lochroma.sdp import _edge_null_basis, _reduced_lm
 
 
@@ -36,6 +38,16 @@ def linear_hypergraphs(draw, wide: bool):
     return Hypergraph(n, edges[:m])
 
 
+def _gram(H: Hypergraph):
+    return sdp._edge_incidence(H.edge_array(), H.n)[1]
+
+
+def _planted_core(n: int, m: int, seed: int) -> Hypergraph:
+    """The core lo_color solves for gen_planted(n, m, seed)."""
+    H_lin, _ = make_linear(gen_planted(n, m, seed).H)
+    return induced(H_lin, [v for v, d in enumerate(H_lin.degrees()) if d > 0])[0]
+
+
 def _dense_incidence(H: Hypergraph) -> np.ndarray:
     Z = np.zeros((H.n + 1, H.m))
     for e, (a, b, c) in enumerate(H.edges):
@@ -50,7 +62,7 @@ def test_edge_null_basis_matches_svd_reference(wide, data):
     H = data.draw(linear_hypergraphs(wide))
     assert is_linear(H)
     seed = data.draw(st.integers(0, 2**32 - 1))
-    B = _edge_null_basis(H, seed)
+    B = _edge_null_basis(_gram(H), seed)
     Z = _dense_incidence(H)
     ref = null_space(Z.T)
     assert B.shape == ref.shape
@@ -60,15 +72,31 @@ def test_edge_null_basis_matches_svd_reference(wide, data):
 
 
 def test_edge_null_basis_rotation_follows_seed():
-    """On the Gram side the basis is a seeded rotation of one subspace."""
+    """The basis is a seeded rotation of one subspace."""
     # The affine plane of order 3 on vertices 0..8, plus two isolated vertices.
     H = Hypergraph(11, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8),
                         (0, 4, 8), (1, 5, 6), (2, 3, 7), (0, 5, 7), (1, 3, 8), (2, 4, 6)])
-    assert _edge_null_basis(H).shape == (12, 3)
-    B1, B1_again, B2 = (_edge_null_basis(H, s) for s in (1, 1, 2))
+    G = _gram(H)
+    assert _edge_null_basis(G).shape == (12, 3)
+    B1, B1_again, B2 = (_edge_null_basis(G, s) for s in (1, 1, 2))
     assert np.array_equal(B1, B1_again)
     assert not np.allclose(B1, B2)
     assert np.abs(B1 @ B1.T - B2 @ B2.T).max() <= 1e-12
+
+
+def test_null_cut_clears_both_sides_of_the_spectrum():
+    """On the core of gen_planted(900, 810, 2), the closest measured case to
+    the cut (m < n+1, smallest nonzero eigenvalue 4.9e-10 * ||G||_inf), the
+    cut sits 100x or more from the zero and the nonzero eigenvalues."""
+    H = _planted_core(900, 810, 2)
+    assert (H.n, H.m) == (829, 810)
+    Z = _dense_incidence(H)
+    q = H.n + 1 - np.linalg.matrix_rank(Z)
+    Gd = Z @ Z.T
+    ev = eigvalsh(Gd)
+    cut = sdp.NULL_CUT * Gd.sum(axis=1).max()
+    assert _edge_null_basis(_gram(H)).shape == (H.n + 1, q) == (830, 20)
+    assert 100 * np.abs(ev[:q]).max() <= cut and 100 * cut <= ev[q]
 
 
 def test_solve_skips_basis_when_bound_exceeds_max_dof(monkeypatch):
@@ -221,9 +249,10 @@ def descent_inputs(draw):
 
 def _descent_both(H, X, tol, sweeps, patience=150):
     E, deg = H.edge_array(), H.degrees().astype(float)
+    Z, G = sdp._edge_incidence(E, H.n)
     # At rank 1 a stepped row can vanish and renormalize to NaN, on both sides.
     with np.errstate(invalid="ignore"):
-        got = sdp._penalty_descent(X.copy(), E, deg, tol, sweeps, patience=patience)
+        got = sdp._penalty_descent(X.copy(), E, Z, G, tol, sweeps, patience=patience)
         want = _penalty_descent_reference(X.copy(), E, deg, tol, sweeps, patience=patience)
     return got, want
 
@@ -258,7 +287,7 @@ def test_penalty_descent_vanishing_target_keeps_row():
 def test_edge_scatter_matches_add_at(inputs, seed):
     H, X = inputs
     E = H.edge_array()
-    S = sdp._edge_incidence(E, H.n)[: H.n]
+    S = sdp._edge_incidence(E, H.n)[0][: H.n]
     assert S.shape == (H.n, H.m) and S.nnz == 3 * H.m
     T = X[E[:, 0]] + X[E[:, 1]] + X[E[:, 2]] + X[H.n]
     g = np.random.default_rng(seed).standard_normal(H.n + 1)
@@ -274,9 +303,7 @@ def test_edge_scatter_matches_add_at(inputs, seed):
 def test_polish_matrix_is_sorted_incidence_gram(inputs):
     H, _ = inputs
     E = H.edge_array()
-    Z = sdp._edge_incidence(E, H.n)
-    A = Z @ Z.T
-    A.sort_indices()
+    _, A = sdp._edge_incidence(E, H.n)
     ref = _polish_matrix_reference(E, H.n)
     assert np.array_equal(A.indptr, ref.indptr)
     assert np.array_equal(A.indices, ref.indices)
@@ -288,7 +315,8 @@ def test_polish_matrix_is_sorted_incidence_gram(inputs):
 def test_lm_polish_matches_reference(inputs, iters, tol):
     H, X = inputs
     E = H.edge_array()
-    Xg, ig, okg = sdp._lm_polish(X.copy(), E, tol, iters)
+    Z, G = sdp._edge_incidence(E, H.n)
+    Xg, ig, okg = sdp._lm_polish(X.copy(), E, Z, G, tol, iters)
     Xw, iw, okw = _lm_polish_reference(X.copy(), E, tol, iters)
     assert np.array_equal(Xg, Xw)
     assert (ig, okg) == (iw, okw)
@@ -315,16 +343,35 @@ def test_full_space_phase_solves_planted(monkeypatch):
     assert nr <= cfg.tol and er <= cfg.tol
 
 
-def test_reduced_phase_tries_rank_three_twice(monkeypatch):
-    """On a null space of dimension q >= 4 phase 1 makes exactly two attempts,
-    both at rank 3, before the full-space phase takes over."""
+def test_reduced_phase_tries_rank_three_then_eight_twice(monkeypatch):
+    """On a null space of dimension q >= 8 phase 1 makes two attempts at rank
+    3, then two at rank 8, before the full-space phase takes over."""
     H = gen_planted(40, 20, 2).H
-    q = _edge_null_basis(H, 0).shape[1]
-    assert q >= 4
+    q = _edge_null_basis(_gram(H), 0).shape[1]
+    assert q >= 8 and q * sdp.WIDE_RANK <= sdp.MAX_DOF
     calls = []
     monkeypatch.setattr(sdp, "_reduced_lm", _stalled_reduced_lm(calls))
     cfg = SdpConfig(seed=0)
     sol = solve_feasibility(H, cfg)
-    assert calls == [(q, 3), (q, 3)]
+    assert calls == [(q, 3), (q, 3), (q, 8), (q, 8)]
     nr, er = residual(H, sol)
     assert nr <= cfg.tol and er <= cfg.tol
+
+
+def test_wide_rank_solves_core_where_rank_three_stalls(monkeypatch):
+    """On the core of gen_planted(300, 210, 0), as lo_color solves it with
+    pipeline seed 0, both rank-3 attempts stall and the first rank-8 attempt
+    converges, so the full-space phase never runs."""
+    H = _planted_core(300, 210, 0)
+    calls = []
+    reduced_lm = sdp._reduced_lm
+
+    def recording(B, Y, tol, max_iters):
+        out = reduced_lm(B, Y, tol, max_iters)
+        calls.append((Y.shape[1], out[2]))
+        return out
+
+    monkeypatch.setattr(sdp, "_reduced_lm", recording)
+    sol = solve_feasibility(H, SdpConfig(seed=derive_seed(0, "sdp")))
+    assert calls == [(3, False), (3, False), (8, True)]
+    assert max(residual(H, sol)) <= sol.tol
