@@ -6,8 +6,10 @@ a certificate's residuals with ``--cert``), ``oracle`` (brute-force
 references), ``stats`` (per-draw threshold rounding sizes), ``bench``
 (scaling sweep).
 
-Exit codes: 0 success; 1 I/O or parse error; 2 generation failure; 3 solver
-stall; 4 validity failure.  All randomness flows from ``--seed`` through
+Exit codes: 0 success; 1 I/O or parse error, or an invalid flag value; 2
+generation failure (argparse's usage errors also exit 2); 3 solver stall; 4
+validity failure.  ``FAILURES`` maps the errors a command raises to these
+codes in one place.  All randomness flows from ``--seed`` through
 named per-stage substreams.  Without ``--seed`` the seed is read from the
 ``LO_CHROMA_SEED`` environment variable, a value that is not an integer
 exits with 1, and with neither set it is 0.  CSV rows contain only
@@ -54,6 +56,20 @@ EXIT_GENERATION = 2
 EXIT_STALL = 3
 EXIT_INVALID = 4
 
+# The CLI's one failure policy.  A command lets errors propagate; ``main``
+# exits with the code of the first row whose types match and prints its
+# label and the message as one stderr line.  ``FormatError`` is a
+# ``ValueError``.  Any other exception is a bug and keeps its traceback.
+FAILURES = (
+    ((GenerationError,), EXIT_GENERATION, "generation failed"),
+    ((SolverStalled,), EXIT_STALL, "solver stalled"),
+    ((NotTwoLOColorable,), EXIT_INVALID, "instance rejected"),
+    ((PipelineError, ResampleBudgetExceeded), EXIT_INVALID, "validity failure"),
+    ((OSError,), EXIT_IO, "I/O error"),
+    ((ValueError,), EXIT_IO, "invalid input"),
+)
+_HANDLED = tuple(t for types, _, _ in FAILURES for t in types)
+
 CSV_SCHEMA_COMMENT = "# schema=1"
 
 
@@ -90,72 +106,32 @@ def cmd_gen(args) -> int:
     out = Path(args.output)
     try:
         if args.kind == "planted":
-            inst = gen_planted(args.n, args.m, args.seed)
-            formats.write_h3(out, inst.H, comment=f"planted n={args.n} m={args.m} seed={args.seed}")
-            formats.write_coloring(out.with_suffix(".planted"), inst.planted)
+            inst, cert = gen_planted(args.n, args.m, args.seed), None
         else:
             inst, cert = gen_balanced_tripartite(args.n, args.m, args.seed)
-            formats.write_h3(
-                out, inst.H, comment=f"balanced n={args.n} m={args.m} seed={args.seed}"
-            )
-            formats.write_coloring(out.with_suffix(".planted"), inst.planted)
-            formats.write_cert(out.with_suffix(".cert"), cert.vstar, cert.vecs)
-    except (GenerationError, ValueError) as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except OSError as exc:
-        print(f"cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except ValueError as exc:
+        # A size the family cannot take is a generation failure (exit 2).
+        raise GenerationError(str(exc)) from exc
+    formats.write_h3(out, inst.H, comment=f"{args.kind} n={args.n} m={args.m} seed={args.seed}")
+    formats.write_coloring(out.with_suffix(".planted"), inst.planted)
+    if cert is not None:
+        formats.write_cert(out.with_suffix(".cert"), cert.vstar, cert.vecs)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    try:
-        H = formats.read_h3(args.instance)
-    except (OSError, formats.FormatError) as exc:
-        print(f"cannot read instance: {exc}", file=sys.stderr)
-        return EXIT_IO
     cfg = SdpConfig(tol=args.sdp_tol, seed=args.seed)
-    try:
-        sol = solve_feasibility(H, cfg)
-    except SolverStalled as exc:
-        print(f"solver stalled: {exc}", file=sys.stderr)
-        return EXIT_STALL
-    out = args.output or (str(args.instance) + ".cert")
-    try:
-        formats.write_cert(out, sol.vstar, sol.vecs)
-    except OSError as exc:
-        print(f"cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    sol = solve_feasibility(formats.read_h3(args.instance), cfg)
+    formats.write_cert(args.output or f"{args.instance}.cert", sol.vstar, sol.vecs)
     print(f"norm_residual={sol.norm_residual:.12e} "
           f"edge_residual={sol.edge_residual:.12e} iters={sol.iters}")
     return EXIT_OK
 
 
 def cmd_color(args) -> int:
-    try:
-        H = formats.read_h3(args.instance)
-    except (OSError, formats.FormatError) as exc:
-        print(f"cannot read instance: {exc}", file=sys.stderr)
-        return EXIT_IO
     cfg = _config_from(args)
-    try:
-        coloring, report = lo_color(H, cfg)
-    except SolverStalled as exc:
-        print(f"solver stalled: {exc}", file=sys.stderr)
-        return EXIT_STALL
-    except NotTwoLOColorable as exc:
-        print(f"instance rejected: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (PipelineError, ResampleBudgetExceeded) as exc:
-        print(f"validity failure: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    out = args.output or (str(args.instance) + ".coloring")
-    try:
-        formats.write_coloring(out, coloring)
-    except OSError as exc:
-        print(f"cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    coloring, report = lo_color(formats.read_h3(args.instance), cfg)
+    formats.write_coloring(args.output or f"{args.instance}.coloring", coloring)
     _emit_report(report, sys.stdout)
     if args.timings:
         print(json.dumps({"timings": report.timings}), file=sys.stderr)
@@ -163,40 +139,24 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    H = formats.read_h3(args.instance)
     if args.cert:
-        try:
-            H = formats.read_h3(args.instance)
-            vstar, vecs = formats.read_cert(args.coloring)
-            sol = VectorSolution.from_vectors(H, vstar, vecs, tol=args.sdp_tol)
-        except (OSError, formats.FormatError, ValueError) as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        vstar, vecs = formats.read_cert(args.coloring)
+        sol = VectorSolution.from_vectors(H, vstar, vecs, tol=args.sdp_tol)
         print(f"norm_residual={sol.norm_residual:.12e} "
               f"edge_residual={sol.edge_residual:.12e}")
         ok = sol.norm_residual <= args.sdp_tol and sol.edge_residual <= args.sdp_tol
         return EXIT_OK if ok else EXIT_INVALID
-    try:
-        H = formats.read_h3(args.instance)
-        coloring = formats.read_coloring(args.coloring)
-    except (OSError, formats.FormatError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    coloring = formats.read_coloring(args.coloring)
     # check_lo ignores colored vertices outside the hypergraph; a file that
     # names one does not color this instance.
     outside = [v for v in coloring.domain() if v >= H.n]
     if outside:
-        print(f"parse error: {args.coloring}: vertex {min(outside) + 1} is outside 1..{H.n}",
-              file=sys.stderr)
-        return EXIT_IO
-    try:
-        if args.partial:
-            ok = check_partial_lo(H, coloring)
-        else:
-            ok = check_lo(H, coloring)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if ok:
+        raise formats.FormatError(
+            f"{args.coloring}: vertex {min(outside) + 1} is outside 1..{H.n}"
+        )
+    check = check_partial_lo if args.partial else check_lo
+    if check(H, coloring):
         print("OK")
         return EXIT_OK
     idx = first_violation(H, coloring)
@@ -207,47 +167,30 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        H = formats.read_h3(args.instance)
-    except (OSError, formats.FormatError) as exc:
-        print(f"cannot read instance: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        if args.what == "lo":
-            result = oracle.brute_lo(H, args.k)
-            if result is None:
-                print(f"no LO coloring with {args.k} colors")
-                return EXIT_INVALID
-            print(formats.format_coloring(result), end="")
-        elif args.what == "maxodd":
-            S = oracle.brute_max_odd_is(H)
-            print(" ".join(str(v + 1) for v in sorted(S)))
-        else:
-            S = oracle.brute_max_even_is(H)
-            print(" ".join(str(v + 1) for v in sorted(S)))
-    except ValueError as exc:
-        print(f"oracle refused: {exc}", file=sys.stderr)
-        return EXIT_IO
+    H = formats.read_h3(args.instance)
+    if args.what == "lo":
+        result = oracle.brute_lo(H, args.k)
+        if result is None:
+            print(f"no LO coloring with {args.k} colors")
+            return EXIT_INVALID
+        print(formats.format_coloring(result), end="")
+    else:
+        largest = oracle.brute_max_odd_is if args.what == "maxodd" else oracle.brute_max_even_is
+        print(" ".join(str(v + 1) for v in sorted(largest(H))))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    try:
-        H = formats.read_h3(args.instance)
-        if args.cert:
-            vstar, vecs = formats.read_cert(args.cert)
-            sol = VectorSolution.from_vectors(H, vstar, vecs)
-        else:
-            sol = solve_feasibility(H, SdpConfig(tol=args.sdp_tol, seed=args.seed))
-    except (OSError, formats.FormatError, ValueError) as exc:
-        print(f"cannot load inputs: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SolverStalled as exc:
-        print(f"solver stalled: {exc}", file=sys.stderr)
-        return EXIT_STALL
+    H = formats.read_h3(args.instance)
+    # Built first, so a bad --alpha-override fails before any solve.
     cfg = RoundingConfig.for_degree(
         degree_stats(H).delta_bar, seed=args.seed, alpha_override=args.alpha_override,
     )
+    if args.cert:
+        vstar, vecs = formats.read_cert(args.cert)
+        sol = VectorSolution.from_vectors(H, vstar, vecs)
+    else:
+        sol = solve_feasibility(H, SdpConfig(tol=args.sdp_tol, seed=args.seed))
     trace = threshold_trace(H, ortho_profile(sol), cfg, args.draws)
     print(CSV_SCHEMA_COMMENT)
     print("draw,selected,kept")
@@ -257,13 +200,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = []
-    if args.sizes.strip():
-        try:
-            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        except ValueError:
-            print("bad --sizes list", file=sys.stderr)
-            return EXIT_IO
+    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     cfg = _config_from(args)
     rows, slope = bench_rows(sizes, args.runs, cfg)
     lines = [CSV_SCHEMA_COMMENT, ",".join(RunReport.CSV_FIELDS)]
@@ -272,11 +209,7 @@ def cmd_bench(args) -> int:
         lines.append(f"# loglog_slope={slope:.6f}")
     text = "\n".join(lines) + "\n"
     if args.csv:
-        try:
-            Path(args.csv).write_text(text, encoding="ascii")
-        except OSError as exc:
-            print(f"cannot write {args.csv}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        Path(args.csv).write_text(text, encoding="ascii")
     else:
         sys.stdout.write(text)
     if args.timings:
@@ -359,7 +292,14 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"LO_CHROMA_SEED is not an integer: {env!r}", file=sys.stderr)
             return EXIT_IO
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _HANDLED as exc:
+        code, label = next(
+            (code, label) for types, code, label in FAILURES if isinstance(exc, types)
+        )
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

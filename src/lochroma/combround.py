@@ -89,6 +89,14 @@ def iteration_bound(eps) -> int:
     return k
 
 
+def check_eps(eps) -> Fraction:
+    """``eps`` as an exact Fraction; a ``ValueError`` unless it is finite and
+    in (0, 2/3), the band radii whose schedule ends."""
+    if not (math.isfinite(eps) and 0 < Fraction(eps) < Fraction(2, 3)):
+        raise ValueError(f"eps must be a finite number in (0, 2/3), got {eps}")
+    return Fraction(eps)
+
+
 @functools.lru_cache
 def schedule(eps) -> IntervalSchedule:
     """All intervals until the first one inside [-1/3 - eps, -1/3 + eps].
@@ -97,9 +105,7 @@ def schedule(eps) -> IntervalSchedule:
     The result is frozen and depends on ``eps`` alone, so it is built once
     per value; an invalid ``eps`` raises on every call.
     """
-    e = Fraction(eps)
-    if not (0 < e < Fraction(2, 3)):
-        raise ValueError(f"eps must lie in (0, 2/3), got {eps}")
+    e = check_eps(eps)
     band_lo = _BAND_CENTER - e
     band_hi = _BAND_CENTER + e
     intervals = [interval(0)]

@@ -9,16 +9,21 @@ Coloring: n lines ``<vertex> <color>``, both 1-indexed, colors 1..k.
 
 ``.cert``: first line ``<n+1> <d>``, then the special vector row, then n rows
 of d floats (the per-vertex vectors).
+
+Each ``read_*`` raises ``FormatError`` naming the path for a malformed or
+non-ASCII file.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 from .hypercore import Hypergraph, RankedColoring
+
+T = TypeVar("T")
 
 
 class FormatError(ValueError):
@@ -82,14 +87,18 @@ def format_h3(H: Hypergraph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_h3(path: str | os.PathLike) -> Hypergraph:
-    """Read and check an instance file; a ``FormatError`` names the path."""
+def _read(path: str | os.PathLike, parse: Callable[[str], T]) -> T:
+    """``parse`` of an ASCII file's text; a ``FormatError`` names the path."""
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    try:
-        return parse_h3(text)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        try:
+            return parse(fh.read())
+        except (FormatError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+
+
+def read_h3(path: str | os.PathLike) -> Hypergraph:
+    """Read and check an instance file."""
+    return _read(path, parse_h3)
 
 
 def write_h3(path: str | os.PathLike, H: Hypergraph, comment: str | None = None) -> None:
@@ -121,8 +130,7 @@ def parse_coloring(text: str) -> RankedColoring:
 
 
 def read_coloring(path: str | os.PathLike) -> RankedColoring:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_coloring(fh.read())
+    return _read(path, parse_coloring)
 
 
 def write_coloring(path: str | os.PathLike, coloring: RankedColoring) -> None:
@@ -170,8 +178,7 @@ def parse_cert(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_cert(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_cert(fh.read())
+    return _read(path, parse_cert)
 
 
 def write_cert(path: str | os.PathLike, vstar: np.ndarray, vecs: np.ndarray) -> None:

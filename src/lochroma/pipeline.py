@@ -39,6 +39,7 @@ from .sdp import (
     DEFAULT_TOL,
     OrthoProfile,
     SdpConfig,
+    check_tol,
     gamma_profile,
     ortho_profile,
     solve_feasibility,
@@ -64,8 +65,9 @@ class PipelineConfig:
     """Pipeline settings.
 
     ``strategy`` colors the balanced part (one of ``STRATEGIES``); ``eps`` is
-    the balance band radius; ``tol`` is the solver tolerance, and ``eps``
-    must be at least 100 times it.  ``seed`` roots every random draw of the
+    the balance band radius, finite and in (0, 2/3); ``tol`` is the solver
+    tolerance, finite and positive, and ``eps`` must be at least 100 times
+    it.  ``seed`` roots every random draw of the
     run through named substreams.  The paper's fixed constants are module
     constants: ``DELTA_EXPONENT`` here, ``combround.EPS_PRIME`` and
     ``combround.RETRY_BUDGET`` for ``logn``, and ``gaussround.default_reps``
@@ -80,8 +82,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
+        check_tol(self.tol)
+        combround.check_eps(self.eps)
         if self.eps < 100 * self.tol:
-            raise ValueError("eps must be at least 100x solver tolerance")
+            raise ValueError(f"eps={self.eps} must be at least 100x tol={self.tol}")
 
 
 @dataclass(frozen=True)

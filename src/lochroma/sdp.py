@@ -86,6 +86,15 @@ class SdpConfig:
     tol: float = DEFAULT_TOL
     seed: int = 0
 
+    def __post_init__(self):
+        check_tol(self.tol)
+
+
+def check_tol(tol: float) -> None:
+    """Reject a solver tolerance that is not a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
+
 
 def rank_for(H: Hypergraph) -> int:
     """Factor width of the full-space phase: min(n+1, ceil(sqrt(2m)) + 2)."""
@@ -94,7 +103,10 @@ def rank_for(H: Hypergraph) -> int:
 
 @dataclass(frozen=True)
 class VectorSolution:
-    """Unit vectors per vertex plus the special vector, with achieved residuals."""
+    """Unit vectors per vertex plus the special vector, with achieved residuals.
+
+    ``tol`` is the tolerance the solution is judged by, finite and positive.
+    """
 
     vstar: np.ndarray
     vecs: np.ndarray
@@ -102,6 +114,9 @@ class VectorSolution:
     edge_residual: float
     tol: float = DEFAULT_TOL
     iters: int = 0
+
+    def __post_init__(self):
+        check_tol(self.tol)
 
     @property
     def n(self) -> int:

@@ -7,13 +7,26 @@ from pathlib import Path
 
 import pytest
 
+from lochroma import cli, pipeline
 from lochroma.cli import build_parser, main
+from lochroma.combround import ResampleBudgetExceeded
+from lochroma.formats import FormatError
+from lochroma.hypercore import NotTwoLOColorable
+from lochroma.instances import GenerationError
+from lochroma.pipeline import PipelineError
+from lochroma.sdp import SolverStalled
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def one_stderr_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.fixture()
@@ -51,6 +64,10 @@ class TestColorVerify:
         out = capsys.readouterr().out
         assert out.startswith("# schema=1\n")
         assert run("verify", planted_file, coloring) == 0
+
+    def test_color_timings_on_stderr(self, planted_file, tmp_path, capsys):
+        assert run("color", planted_file, "--timings", "-o", tmp_path / "t.coloring") == 0
+        assert "total" in json.loads(capsys.readouterr().err)["timings"]
 
     def test_missing_instance_exit_1(self, tmp_path):
         assert run("color", tmp_path / "missing.h3") == 1
@@ -191,6 +208,14 @@ class TestSolveAndStats:
         cert.write_text("\n".join(rows) + "\n")
         assert run("verify", planted_file, cert, "--cert") == 4
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_verify_cert_rejects_bad_gate(self, tmp_path, capsys, tol):
+        out = tmp_path / "b.h3"
+        assert run("gen", "--kind", "balanced", "--n", 30, "--m", 25, "-o", out) == 0
+        capsys.readouterr()
+        assert run("verify", out, out.with_suffix(".cert"), "--cert", "--sdp-tol", tol) == 1
+        assert "tol must be a finite number > 0" in one_stderr_line(capsys)
+
     def test_solve_stall_exit_3(self, tmp_path):
         k4 = tmp_path / "k4.h3"
         k4.write_text("p h3 4 4\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n")
@@ -297,3 +322,131 @@ class TestFlags:
         named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)) - {"--no-build-isolation"}
         assert sorted(named - options) == []
         assert sorted(options - named) == []
+
+    def test_readme_exit_codes_match_cli(self):
+        """The README's exit-code list names each ``cli.EXIT_*`` code once, in order."""
+        text = README.read_text(encoding="utf-8")
+        start = text.index("Exit codes:")
+        paragraph = text[start:text.index("\n\n", start)]
+        listed = [int(code) for code in re.findall(r"`(\d+)`", paragraph)]
+        assert listed == sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+
+
+# Per command: its arguments, and the library call it makes that the table
+# test replaces with one that raises.
+COMMANDS = {
+    "gen": (("--kind", "planted", "--n", 30, "--m", 40, "-o", "{tmp}/g.h3"),
+            (cli, "gen_planted")),
+    "solve": (("{h3}", "-o", "{tmp}/a.cert"), (cli, "solve_feasibility")),
+    "color": (("{h3}", "-o", "{tmp}/a.coloring"), (cli, "lo_color")),
+    "verify": (("{h3}", "{coloring}"), (cli, "check_lo")),
+    "oracle": (("lo", "{h3}"), (cli.oracle, "brute_lo")),
+    "stats": (("{h3}", "--draws", 2), (cli, "solve_feasibility")),
+    "bench": (("--sizes", 30, "--runs", 1), (cli, "bench_rows")),
+}
+
+RAISED = [
+    (GenerationError("no room for edges"), 2),
+    (SolverStalled("plateau", 1e-3, 1e-3, 50), 3),
+    (NotTwoLOColorable("pair collapse"), 4),
+    (PipelineError("combine", "ranks tie"), 4),
+    (ResampleBudgetExceeded("out of draws"), 4),
+    (OSError("disk gone"), 1),
+    (ValueError("bad value"), 1),
+    (FormatError("bad line"), 1),
+]
+
+
+def command_argv(command, planted_file, tmp_path):
+    coloring = tmp_path / "full.coloring"
+    coloring.write_text("".join(f"{v} 1\n" for v in range(1, 31)))
+    args, _ = COMMANDS[command]
+    paths = {"tmp": tmp_path, "h3": planted_file, "coloring": coloring}
+    return [command, *(str(a).format(**paths) for a in args)]
+
+
+class TestFailureTable:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("exc, code", RAISED, ids=[type(e).__name__ for e, _ in RAISED])
+    def test_raised_error_exit_code(self, command, exc, code, planted_file, tmp_path,
+                                    monkeypatch, capsys):
+        argv = command_argv(command, planted_file, tmp_path)
+        owner, name = COMMANDS[command][1]
+
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(owner, name, raising)
+        capsys.readouterr()
+        # gen reports a generator's argument ValueError as a generation failure.
+        expected = 2 if command == "gen" and isinstance(exc, ValueError) else code
+        assert main(argv) == expected
+        assert str(exc) in one_stderr_line(capsys)
+
+    def test_bug_keeps_its_traceback(self, planted_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "lo_color", broken)
+        with pytest.raises(KeyError):
+            run("color", planted_file)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--kind", "planted", "--n", 30, "--m", 40, "-o", "{missing}/g.h3"),
+            ("solve", "{h3}", "-o", "{missing}/a.cert"),
+            ("color", "{h3}", "-o", "{missing}/a.coloring"),
+            ("bench", "--sizes", "", "--runs", 1, "--csv", "{missing}/b.csv"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_failed_write_exit_1(self, argv, planted_file, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        argv = [str(a).format(missing=missing, h3=planted_file) for a in argv]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert str(missing) in one_stderr_line(capsys)
+
+    @pytest.mark.parametrize("body", [None, "p h3 3 1\n1 2\n"], ids=["missing", "malformed"])
+    def test_solve_read_error_exit_1(self, body, tmp_path, capsys):
+        path = tmp_path / "in.h3"
+        if body is not None:
+            path.write_text(body)
+        assert run("solve", path) == 1
+        assert str(path) in one_stderr_line(capsys)
+
+    def test_balanced_size_not_divisible_by_3_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "b.h3"
+        assert run("gen", "--kind", "balanced", "--n", 10, "--m", 5, "-o", out) == 2
+        assert "divisible by 3" in one_stderr_line(capsys)
+        assert not out.exists()
+
+
+# Flag values the configs reject, each with a piece of its message.
+INVALID = [
+    (("color", "{h3}", "--eps", "0.7"), "eps must be a finite number in (0, 2/3)"),
+    (("color", "{h3}", "--eps", "nan"), "eps must be a finite number"),
+    (("color", "{h3}", "--eps", "1e-9"), "must be at least 100x"),
+    (("color", "{h3}", "--sdp-tol", "nan"), "tol must be a finite number > 0"),
+    (("solve", "{h3}", "--sdp-tol", "-1"), "tol must be a finite number > 0"),
+    (("solve", "{h3}", "--sdp-tol", "nan"), "tol must be a finite number > 0"),
+    (("stats", "{h3}", "--sdp-tol", "0"), "tol must be a finite number > 0"),
+    (("stats", "{h3}", "--alpha-override", "0.9"), "alpha=0.9 outside"),
+    (("bench", "--sizes", "30", "--eps", "0.7"), "eps must be a finite number"),
+    (("bench", "--sizes", "30,x"), "invalid literal"),
+]
+
+
+class TestInvalidValues:
+    @pytest.mark.parametrize("argv, match", INVALID, ids=[" ".join(a) for a, _ in INVALID])
+    def test_exit_1_before_solving(self, argv, match, planted_file, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli, "solve_feasibility", no_solve)
+        monkeypatch.setattr(pipeline, "solve_feasibility", no_solve)
+        capsys.readouterr()
+        assert main([a.format(h3=planted_file) for a in argv]) == 1
+        err = one_stderr_line(capsys)
+        assert err.startswith("invalid input: ") and match in err

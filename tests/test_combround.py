@@ -101,6 +101,9 @@ class TestSchedule:
             schedule(0.7)
         with pytest.raises(ValueError):
             schedule(0.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                schedule(bad)
 
     def test_built_once_per_eps(self):
         assert schedule(1e-6) is schedule(1e-6)

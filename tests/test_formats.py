@@ -14,6 +14,8 @@ from lochroma.formats import (
     parse_cert,
     parse_coloring,
     parse_h3,
+    read_cert,
+    read_coloring,
     read_h3,
     write_coloring,
     write_h3,
@@ -67,6 +69,62 @@ def test_read_h3_rejects_invalid_edges(tmp_path, body, match):
     path.write_text(body)
     with pytest.raises(FormatError, match=match) as info:
         read_h3(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "parse, text, match",
+    [
+        (parse_h3, "1 2 3\n", "line 1: expected header 'p h3 <n> <m>'"),
+        (parse_h3, "p h3 3\n", "line 1: expected header"),
+        (parse_h3, "p h3 three 1\n", "line 1: bad header numbers"),
+        (parse_h3, "p h3 -3 1\n", "line 1: negative size in header"),
+        (parse_h3, "p h3 3 -1\n", "line 1: negative size in header"),
+        (parse_h3, "p h3 3 1\n1 2\n", "line 2: expected three vertex ids"),
+        (parse_h3, "p h3 3 1\n1 2 x\n", "line 2: bad vertex id"),
+        (parse_h3, "", "missing 'p h3' header"),
+        (parse_h3, "c only a comment\n", "missing 'p h3' header"),
+        (parse_h3, "p h3 3 2\n1 2 3\n", "header promises 2 edges, file has 1"),
+        (parse_coloring, "1\n", "line 1: expected '<vertex> <color>'"),
+        (parse_coloring, "1 2 3\n", "line 1: expected '<vertex> <color>'"),
+        (parse_coloring, "1 one\n", "line 1: bad number"),
+        (parse_coloring, "0 1\n", "line 1: vertex ids are 1-indexed"),
+        (parse_coloring, "1 1\n1 2\n", "line 2: vertex 1 assigned twice"),
+        (parse_cert, "", "empty certificate"),
+        (parse_cert, "2\n", "certificate header must be '<n\\+1> <d>'"),
+        (parse_cert, "2 two\n", "bad certificate header"),
+        (parse_cert, "0 1\n", "at least the special vector"),
+        (parse_cert, "2 0\n", "at least the special vector"),
+        (parse_cert, "2 2\n1 0\n", "expected 2 vector rows, found 1"),
+        (parse_cert, "2 2\n1 0\n0\n", "row 3: expected 2 floats"),
+        (parse_cert, "2 2\n1 0\n0 x\n", "row 3: bad float"),
+    ],
+)
+def test_parse_errors(parse, text, match):
+    with pytest.raises(FormatError, match=match):
+        parse(text)
+
+
+def test_format_cert_rejects_mismatched_shapes():
+    with pytest.raises(FormatError, match="must be"):
+        format_cert(np.zeros(3), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "read, body",
+    [
+        (read_h3, "p h3 3\n"),
+        (read_coloring, "1\n"),
+        (read_cert, "2\n"),
+        (read_coloring, "1 \u00e9\n"),
+    ],
+    ids=["h3", "coloring", "cert", "non-ascii"],
+)
+def test_read_errors_name_the_path(tmp_path, read, body):
+    path = tmp_path / "bad.txt"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        read(path)
     assert str(info.value).startswith(f"{path}: ")
 
 

@@ -135,6 +135,13 @@ class TestColorBalanced:
         assert calls and calls[0] == 90
         assert check_lo(inst.H, coloring)
 
+    def test_n15_z3_core_assembles(self):
+        H, cert = z3_line_core(3, 0.5, 56)
+        assert (H.n, H.m) == (25, 15)
+        assert max(cert.norm_residual, cert.edge_residual) <= 1e-9
+        coloring = color_balanced(H, ortho_profile(cert), PipelineConfig(seed=0))
+        assert check_lo(H, coloring)
+
 
 def z3_line_core(d: int, keep: float, seed: int) -> tuple[Hypergraph, VectorSolution]:
     """Seeded lines of Z_3^d with an exactly balanced certificate, on the
@@ -171,13 +178,6 @@ def z3_line_core(d: int, keep: float, seed: int) -> tuple[Hypergraph, VectorSolu
 
 
 class TestKnownDefects:
-    def test_n15_z3_core_assembles(self):
-        H, cert = z3_line_core(3, 0.5, 56)
-        assert (H.n, H.m) == (25, 15)
-        assert max(cert.norm_residual, cert.edge_residual) <= 1e-9
-        coloring = color_balanced(H, ortho_profile(cert), PipelineConfig(seed=0))
-        assert check_lo(H, coloring)
-
     @pytest.mark.xfail(
         raises=AssertionError,
         reason="bisection windows are half-open with no margin, so gammas within "
@@ -254,6 +254,17 @@ class TestConfig:
     def test_rejects_eps_below_tol_floor(self):
         with pytest.raises(ValueError):
             PipelineConfig(eps=1e-9, tol=1e-8)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, 2.0 / 3.0 + 1e-12, 0.7, float("nan"),
+                                     float("inf")])
+    def test_rejects_eps_outside_band_range(self, eps):
+        with pytest.raises(ValueError, match=r"eps must be a finite number in \(0, 2/3\)"):
+            PipelineConfig(eps=eps)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            PipelineConfig(tol=tol)
 
 
 class TestBalancedBranchEngaged:

@@ -49,6 +49,16 @@ class TestResidual:
         assert bad.norm_residual == pytest.approx(abs(1.1**2 - 1.0))
 
 
+class TestConfig:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, tol, planted30):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            SdpConfig(tol=tol)
+        cert = plant_rank1_certificate(planted30)
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            VectorSolution.from_vectors(planted30.H, cert.vstar, cert.vecs, tol=tol)
+
+
 class TestSolver:
     def test_warm_start_returns_immediately(self, planted30):
         cert = plant_rank1_certificate(planted30)
