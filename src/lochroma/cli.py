@@ -182,7 +182,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_stats(args) -> int:
     H = formats.read_h3(args.instance)
-    # Built first, so a bad --alpha-override fails before any solve.
+    # Checked first, so a bad --draws or --alpha-override fails before any solve.
+    if args.draws < 1:
+        raise ValueError(f"--draws must be at least 1, got {args.draws}")
     cfg = RoundingConfig.for_degree(
         degree_stats(H).delta_bar, seed=args.seed, alpha_override=args.alpha_override,
     )
@@ -200,7 +202,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ValueError(f"bad --sizes list {args.sizes!r}: {exc}") from None
+    if args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     cfg = _config_from(args)
     rows, slope = bench_rows(sizes, args.runs, cfg)
     lines = [CSV_SCHEMA_COMMENT, ",".join(RunReport.CSV_FIELDS)]

@@ -8,14 +8,18 @@ doubly-selected edge are then dropped, which forces the odd-intersection
 property on every draw.
 
 The draws of a round are handled as one batch (``_draw_batch``), and every
-public entry point goes through it.  Draw i still reads its own substream
-``round:{i}``; the uniforms of all draws are stacked into (draws, dim) arrays
-and Box-Muller runs once over them, which is elementwise and so gives the same
-floats as one draw at a time.  Edge hits are counted for all draws at once as
-a small-integer (draws, m) array.  The projection ``ubar @ g`` stays one
-matrix-vector product per draw: a single ``G @ ubar.T`` product sums in
-another order, and its projections differ from the per-draw ones in the last
-bits, so a vertex within rounding of t could change side.
+public entry point goes through it.  All draws of a round read one substream,
+``round``, at fixed positions: draw i takes the uniforms 2*dim*i to
+2*dim*(i+1) of it, the first dim for ``u1`` and the next dim for ``u2``.  A
+batch of draws starting at i jumps there with the generator's ``advance``
+and reads all its uniforms in one call, so draw i's Gaussian depends only on
+(seed, i, dim) and a single draw, a trace in batches and a whole round agree
+on it.  Box-Muller runs once over the batch, which is elementwise.  Edge hits
+are counted for all draws at once as a small-integer (draws, m) array.  The
+projection ``ubar @ g`` stays one matrix-vector product per draw: a single
+``G @ ubar.T`` product sums in another order, and its projections differ from
+the per-draw ones in the last bits, so a vertex within rounding of t could
+change side.
 """
 
 from __future__ import annotations
@@ -99,16 +103,14 @@ def default_reps(n: int) -> int:
 def _selections(ortho: OrthoProfile, cfg: RoundingConfig, draws: range) -> np.ndarray:
     """Raw selections of the given draws, one boolean row per draw.
 
-    Draw i's Gaussian comes from substream ``round:{i}``: ``dim`` uniforms for
-    ``u1``, then ``dim`` for ``u2``, exactly as ``normals`` reads them.
+    Draw i reads uniforms 2*dim*i to 2*dim*(i+1) of substream ``round``:
+    ``dim`` for ``u1``, then ``dim`` for ``u2``, exactly as ``normals`` reads
+    them.  One generator serves the whole batch.
     """
-    u1 = np.empty((len(draws), ortho.dim))
-    u2 = np.empty_like(u1)
-    for row, draw in enumerate(draws):
-        rng = substream(cfg.seed, f"round:{draw}")
-        rng.random(out=u1[row])
-        rng.random(out=u2[row])
-    g = box_muller(u1, u2)
+    rng = substream(cfg.seed, "round")
+    rng.bit_generator.advance(2 * ortho.dim * draws.start)
+    u = rng.random((len(draws), 2, ortho.dim))
+    g = box_muller(u[:, 0], u[:, 1])
     selected = np.empty((len(draws), ortho.n), dtype=bool)
     for row in range(len(draws)):
         selected[row] = ortho.ubar @ g[row] >= cfg.t
@@ -162,6 +164,8 @@ def threshold_trace(
     draws: int,
 ) -> list[tuple[frozenset[int], frozenset[int]]]:
     """(raw selection, surviving set) per draw, on the config's seed stream."""
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     out = []
     for start in range(0, draws, TRACE_BATCH):
         batch = range(start, min(start + TRACE_BATCH, draws))

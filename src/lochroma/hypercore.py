@@ -328,7 +328,8 @@ def induced(H: Hypergraph, vertices: Iterable[int]) -> tuple[Hypergraph, tuple[i
     iff all three of its vertices are kept.  The relabeling is increasing, so
     the surviving rows stay sorted and strictly increasing.
     """
-    ids = np.unique(np.fromiter((int(v) for v in vertices), dtype=np.int64))
+    # fromiter converts each element as ``int`` would, without a Python loop.
+    ids = np.unique(np.fromiter(vertices, dtype=np.int64))
     new_id = np.full(H.n, -1, dtype=np.int64)
     inside = (ids >= 0) & (ids < H.n)
     new_id[ids[inside]] = np.flatnonzero(inside)

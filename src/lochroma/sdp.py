@@ -207,10 +207,10 @@ class OrthoProfile:
         return self.ubar.shape[1]
 
     def restrict(self, old_ids) -> "OrthoProfile":
-        ids = list(int(v) for v in old_ids)
-        remap = {old: new for new, old in enumerate(ids)}
-        degen = frozenset(remap[v] for v in self.degenerate if v in remap)
-        return OrthoProfile(self.ubar[np.asarray(ids, dtype=int)], degen)
+        """The rows of ``old_ids`` (distinct), reindexed to 0..len-1."""
+        ids = np.asarray(old_ids, dtype=np.int64)
+        degen = np.flatnonzero(np.isin(ids, list(self.degenerate)))
+        return OrthoProfile(self.ubar[ids], frozenset(degen.tolist()))
 
 
 def _residuals(H: Hypergraph, vstar: np.ndarray, vecs: np.ndarray) -> tuple[float, float]:

@@ -433,8 +433,11 @@ INVALID = [
     (("solve", "{h3}", "--sdp-tol", "nan"), "tol must be a finite number > 0"),
     (("stats", "{h3}", "--sdp-tol", "0"), "tol must be a finite number > 0"),
     (("stats", "{h3}", "--alpha-override", "0.9"), "alpha=0.9 outside"),
+    (("stats", "{h3}", "--draws", "-3"), "--draws must be at least 1, got -3"),
     (("bench", "--sizes", "30", "--eps", "0.7"), "eps must be a finite number"),
     (("bench", "--sizes", "30,x"), "invalid literal"),
+    (("bench", "--sizes", "30,,x"), "bad --sizes list '30,,x'"),
+    (("bench", "--sizes", "30", "--runs", "0"), "--runs must be at least 1, got 0"),
 ]
 
 

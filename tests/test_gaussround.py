@@ -254,7 +254,7 @@ _RANDOM_INSTANCE = random_linear_instance(80, 120, 4, 0)
 class TestThresholdTrace:
     def test_kept_sets_are_the_draws(self):
         # ``lochroma stats`` reports threshold_trace while best_odd_is picks
-        # among sample_round draws; both must read the same per-draw stream.
+        # among sample_round draws; both must read draw i from the same place.
         H, op = _RANDOM_INSTANCE
         cfg = RoundingConfig.for_degree(4.0, seed=5, alpha_override=0.15)
         trace = threshold_trace(H, op, cfg, draws=40)
@@ -262,6 +262,13 @@ class TestThresholdTrace:
         for i, (raw, kept) in enumerate(trace):
             assert kept == sample_round(H, op, cfg, draw=i)
             assert kept <= raw
+
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_needs_a_draw(self, draws):
+        H, op = _RANDOM_INSTANCE
+        cfg = RoundingConfig.for_degree(4.0, seed=5)
+        with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
+            threshold_trace(H, op, cfg, draws)
 
 
 class TestBestOddISEarlySkip:
@@ -278,9 +285,11 @@ class TestBestOddISEarlySkip:
 
 
 def draw_reference(H, ortho, cfg, draw):
-    """(raw, kept) of one draw from its own stream, one matrix-vector
-    product and the set-based drop; no gaussround internals."""
-    g = normals(substream(cfg.seed, f"round:{draw}"), ortho.dim)
+    """(raw, kept) of one draw at its fixed place in the round's stream, one
+    matrix-vector product and the set-based drop; no gaussround internals."""
+    rng = substream(cfg.seed, "round")
+    rng.bit_generator.advance(2 * ortho.dim * draw)
+    g = normals(rng, ortho.dim)
     selected = (ortho.ubar @ g) >= cfg.t
     raw = frozenset(int(v) for v in np.flatnonzero(selected))
     return raw, drop_doubly_hit_reference(H, selected)
@@ -310,9 +319,27 @@ class TestBatchMatchesPerDrawReference:
         H, op = _RANDOM_INSTANCE
         cfg = RoundingConfig.for_degree(4.0, seed=8, alpha_override=0.15)
         draws = TRACE_BATCH + 3
-        assert threshold_trace(H, op, cfg, draws) == [
-            draw_reference(H, op, cfg, i) for i in range(draws)
-        ]
+        trace = threshold_trace(H, op, cfg, draws)
+        assert trace == [draw_reference(H, op, cfg, i) for i in range(draws)]
+        # The rows on either side of the batch boundary are the single draws.
+        for i in (TRACE_BATCH - 1, TRACE_BATCH):
+            assert trace[i][1] == sample_round(H, op, cfg, draw=i)
+
+    def test_one_generator_per_round(self, monkeypatch):
+        # All draws of a round come from one stream; seeding a generator per
+        # draw cost most of the rounding's time.
+        from lochroma import gaussround
+
+        labels = []
+
+        def counting_substream(seed, label):
+            labels.append(label)
+            return substream(seed, label)
+
+        monkeypatch.setattr(gaussround, "substream", counting_substream)
+        H, op = _RANDOM_INSTANCE
+        best_odd_is(H, op, 4.0, reps=40, seed=6)
+        assert labels == ["round"]
 
 
 def _set_digest(S) -> str:
@@ -325,12 +352,12 @@ class TestBestOddISGolden:
     def test_random_instance(self):
         H, op = _RANDOM_INSTANCE
         S = best_odd_is(H, op, 4.0, reps=32, seed=3)
-        assert (len(S), _set_digest(S)) == (5, "8196dd5a9ac08961")
+        assert (len(S), _set_digest(S)) == (7, "9bba55721349e355")
 
     def test_larger_random_instance_default_reps(self):
         H, op = random_linear_instance(300, 500, 7, 1)
         S = best_odd_is(H, op, 9.0, seed=11)
-        assert (len(S), _set_digest(S)) == (12, "45d0184d15266edb")
+        assert (len(S), _set_digest(S)) == (11, "9e42e916e2621340")
 
     def test_tripartite_certificate(self):
         inst, cert = gen_balanced_tripartite(60, 50, 6)

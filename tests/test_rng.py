@@ -37,3 +37,14 @@ class TestNormals:
         batch = box_muller(u1, u2)
         for i in range(rows):
             assert np.array_equal(batch[i], normals(substream(2, f"row:{i}"), dim))
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("k", [0, 1, 25, 2 * 13 * 300])
+    def test_advance_skips_k_uniforms(self, k):
+        # Threshold rounding reads draw i at a fixed offset of one stream by
+        # advancing the generator; this must equal reading past the offset.
+        j = 11
+        rng = substream(3, "advance")
+        rng.bit_generator.advance(k)
+        assert np.array_equal(rng.random(j), substream(3, "advance").random(k + j)[k:])

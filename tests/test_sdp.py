@@ -5,6 +5,7 @@ import pytest
 
 from lochroma import (
     Hypergraph,
+    OrthoProfile,
     SdpConfig,
     SolverStalled,
     VectorSolution,
@@ -143,6 +144,16 @@ class TestOrthoProfile:
         dots = op.ubar @ vstar
         keep = [v for v in range(30) if v not in op.degenerate]
         assert np.abs(dots[keep]).max() <= 10 * solved30.tol + 1e-12
+
+    @pytest.mark.parametrize("ids", [(1, 4, 5, 9), [0, 2, 9], np.array([4, 7]), ()])
+    def test_restrict_reindexes_degenerate(self, ids):
+        ubar = np.arange(20.0).reshape(10, 2)
+        op = OrthoProfile(ubar, frozenset({2, 4, 9}))
+        sub = op.restrict(ids)
+        ids = list(ids)
+        assert np.array_equal(sub.ubar, ubar[ids])
+        assert sub.degenerate == frozenset(i for i, v in enumerate(ids) if v in op.degenerate)
+        assert all(type(v) is int for v in sub.degenerate)
 
 
 class TestSolutionInvariants:
