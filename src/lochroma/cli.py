@@ -206,6 +206,8 @@ def cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
         raise ValueError(f"bad --sizes list {args.sizes!r}: {exc}") from None
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"bad --sizes list {args.sizes!r}: sizes must be at least 1")
     if args.runs < 1:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
     cfg = _config_from(args)

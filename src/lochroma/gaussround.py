@@ -7,8 +7,9 @@ threshold t chosen so the selection probability is alpha; vertices meeting a
 doubly-selected edge are then dropped, which forces the odd-intersection
 property on every draw.
 
-The draws of a round are handled as one batch (``_draw_batch``), and every
-public entry point goes through it.  All draws of a round read one substream,
+The draws of a round are handled as one batch: every public entry point
+takes the raw selections of its draws from ``_selections`` and their
+surviving sets from ``_survivors``.  All draws of a round read one substream,
 ``round``, at fixed positions: draw i takes the uniforms 2*dim*i to
 2*dim*(i+1) of it, the first dim for ``u1`` and the next dim for ``u2``.  A
 batch of draws starting at i jumps there with the generator's ``advance``
@@ -127,23 +128,8 @@ def _survivors(H_B: Hypergraph, selected: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _draw_batch(
-    H_B: Hypergraph,
-    ortho: OrthoProfile,
-    cfg: RoundingConfig,
-    draws: range,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(raw selections, surviving sets) of the given draws, as boolean rows."""
-    selected = _selections(ortho, cfg, draws)
-    return selected, _survivors(H_B, selected)
-
-
 def _vertex_set(row: np.ndarray) -> frozenset[int]:
     return frozenset(np.flatnonzero(row).tolist())
-
-
-def _drop_doubly_hit(H_B: Hypergraph, selected: np.ndarray) -> frozenset[int]:
-    return _vertex_set(_survivors(H_B, selected[None])[0])
 
 
 def sample_round(
@@ -153,7 +139,7 @@ def sample_round(
     draw: int = 0,
 ) -> frozenset[int]:
     """One threshold-rounding draw; output meets every edge at most once."""
-    _, kept = _draw_batch(H_B, ortho, cfg, range(draw, draw + 1))
+    kept = _survivors(H_B, _selections(ortho, cfg, range(draw, draw + 1)))
     return _vertex_set(kept[0])
 
 
@@ -169,7 +155,8 @@ def threshold_trace(
     out = []
     for start in range(0, draws, TRACE_BATCH):
         batch = range(start, min(start + TRACE_BATCH, draws))
-        selected, kept = _draw_batch(H_B, ortho, cfg, batch)
+        selected = _selections(ortho, cfg, batch)
+        kept = _survivors(H_B, selected)
         out += [(_vertex_set(raw), _vertex_set(k)) for raw, k in zip(selected, kept)]
     return out
 
@@ -184,7 +171,7 @@ def best_odd_is(
     """Largest surviving set over repeated draws (ties: lexicographically smallest)."""
     reps = default_reps(H_B.n) if reps is None else max(1, int(reps))
     cfg = RoundingConfig.for_degree(delta, seed=seed)
-    _, kept = _draw_batch(H_B, ortho, cfg, range(reps))
+    kept = _survivors(H_B, _selections(ortho, cfg, range(reps)))
     sizes = kept.sum(axis=1)
     tied = np.flatnonzero(sizes == sizes.max())
     # Equal-length sorted vertex lists compare lexicographically.

@@ -6,6 +6,9 @@ Strategies for the balanced part:
 
 * ``n15``: iterated independent-set extraction, choosing per round between an
   even set (high degree) and a Gaussian threshold odd set (low degree).
+  Each set is checked when it is drawn, on that round's induced hypergraph;
+  ``extend_with_odd`` and ``extend_with_even`` then only rank the sets, in
+  reverse order of drawing.
 * ``logn``: a single Gaussian perturbation of the gammas followed by another
   bisection rounding, giving a logarithmic color count.
 
@@ -136,34 +139,13 @@ class RunReport:
         return ",".join(vals)
 
 
-def _drawn_set(
-    H: Hypergraph, coloring: RankedColoring, S, is_independent, kind: str
-) -> frozenset[int]:
-    """``S`` as a frozenset, checked on the vertices left when it was drawn.
-
-    The assembly colors the sets in reverse order of drawing, so those are
-    the vertices colored so far and ``S`` itself.
-    """
-    S = frozenset(int(v) for v in S)
-    domain = coloring.domain()
-    if S & domain:
-        raise ValueError("set overlaps the colored domain")
-    sub, ids = induced(H, domain | S)
-    index = {old: new for new, old in enumerate(ids)}
-    if not is_independent(sub, [index[v] for v in S]):
-        raise ValueError(f"set is not {kind} independent on the vertices left when it was drawn")
-    return S
-
-
-def extend_with_odd(H: Hypergraph, coloring: RankedColoring, S) -> RankedColoring:
-    """Give an odd independent set a rank strictly above everything colored so far."""
-    S = _drawn_set(H, coloring, S, check_odd_is, "odd")
+def extend_with_odd(coloring: RankedColoring, S) -> RankedColoring:
+    """Give an odd set a rank strictly above everything colored so far (1 on an empty coloring)."""
     return coloring.assign(S, coloring.max_rank() + 1 if coloring else 1)
 
 
-def extend_with_even(H: Hypergraph, coloring: RankedColoring, S) -> RankedColoring:
-    """Give an even independent set a rank strictly below everything colored so far."""
-    S = _drawn_set(H, coloring, S, check_even_is, "even")
+def extend_with_even(coloring: RankedColoring, S) -> RankedColoring:
+    """Give an even set a rank strictly below everything colored so far (1 on an empty coloring)."""
     return coloring.assign(S, coloring.min_rank() - 1 if coloring else 1)
 
 
@@ -194,21 +176,24 @@ def color_balanced(H_B: Hypergraph, ortho: OrthoProfile, cfg: PipelineConfig) ->
     vertices; with average degree at least (vertex count)^DELTA_EXPONENT an
     even set is removed, otherwise a threshold-rounding odd set.  Empty
     finds fall back to degree-zero vertices, then to a single odd vertex, so
-    the vertex set strictly shrinks and the loop always terminates.
+    the vertex set strictly shrinks and the loop always terminates.  An
+    edgeless remainder is taken whole as the last odd set.
+
+    Each set is checked when it is drawn, on that round's induced
+    hypergraph; a set that is not independent there raises
+    ``PipelineError``.  The sets are then ranked in reverse order of
+    drawing, odd sets above and even sets below everything ranked so far.
     """
     remaining = list(range(H_B.n))
     stack: list[tuple[frozenset[int], str]] = []
     round_no = 0
     while remaining:
         sub, ids = induced(H_B, remaining)
-        if sub.m == 0:
-            stack.append((frozenset(remaining), "base"))
-            break
         stats = degree_stats(sub)
-        kind: str
-        if stats.delta_bar >= len(remaining) ** DELTA_EXPONENT:
-            S_sub = even_independent_set(sub)
-            kind = "even"
+        if sub.m == 0:
+            S_sub, kind = frozenset(range(sub.n)), "odd"
+        elif stats.delta_bar >= len(remaining) ** DELTA_EXPONENT:
+            S_sub, kind = even_independent_set(sub), "even"
         else:
             S_sub = gaussround.best_odd_is(
                 sub,
@@ -223,6 +208,11 @@ def color_balanced(H_B: Hypergraph, ortho: OrthoProfile, cfg: PipelineConfig) ->
                 S_sub, kind = frozenset(isolated), "even"
             else:
                 S_sub, kind = frozenset({0}), "odd"
+        is_independent = check_odd_is if kind == "odd" else check_even_is
+        if not is_independent(sub, S_sub):
+            raise PipelineError(
+                "color_balanced", f"round {round_no}: set is not {kind} independent"
+            )
         S = frozenset(ids[v] for v in S_sub)
         stack.append((S, kind))
         keep = set(remaining) - S
@@ -233,12 +223,8 @@ def color_balanced(H_B: Hypergraph, ortho: OrthoProfile, cfg: PipelineConfig) ->
 
     coloring = RankedColoring()
     for S, kind in reversed(stack):
-        if kind == "base":
-            coloring = coloring.assign(S, 1)
-        elif kind == "odd":
-            coloring = extend_with_odd(H_B, coloring, S)
-        else:
-            coloring = extend_with_even(H_B, coloring, S)
+        extend = extend_with_odd if kind == "odd" else extend_with_even
+        coloring = extend(coloring, S)
     if H_B.n and not check_lo(H_B, coloring):
         raise PipelineError("color_balanced", "assembled coloring failed validation")
     return coloring

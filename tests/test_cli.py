@@ -437,6 +437,7 @@ INVALID = [
     (("bench", "--sizes", "30", "--eps", "0.7"), "eps must be a finite number"),
     (("bench", "--sizes", "30,x"), "invalid literal"),
     (("bench", "--sizes", "30,,x"), "bad --sizes list '30,,x'"),
+    (("bench", "--sizes=-5,0"), "bad --sizes list '-5,0': sizes must be at least 1"),
     (("bench", "--sizes", "30", "--runs", "0"), "--runs must be at least 1, got 0"),
 ]
 

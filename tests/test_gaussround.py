@@ -30,7 +30,7 @@ from lochroma import (
     threshold_trace,
     two_sided_round,
 )
-from lochroma.gaussround import TRACE_BATCH, _drop_doubly_hit, default_reps
+from lochroma.gaussround import TRACE_BATCH, _survivors, _vertex_set, default_reps
 from lochroma.rng import normals, substream
 
 
@@ -208,6 +208,11 @@ def linear_hypergraphs(draw):
     return linear_prefix(n, triples)
 
 
+def drop_doubly_hit(H, selected):
+    """One selection's surviving set, as the batched ``_survivors`` gives it."""
+    return _vertex_set(_survivors(H, selected[None])[0])
+
+
 class TestDropDoublyHit:
     @given(linear_hypergraphs(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -216,7 +221,7 @@ class TestDropDoublyHit:
             data.draw(st.lists(st.booleans(), min_size=H.n, max_size=H.n)), dtype=bool
         )
         for sel in (selected, np.zeros(H.n, dtype=bool), np.ones(H.n, dtype=bool)):
-            out = _drop_doubly_hit(H, sel)
+            out = drop_doubly_hit(H, sel)
             assert out == drop_doubly_hit_reference(H, sel)
             assert all(type(v) is int for v in out)
             assert check_odd_is(H, out)
@@ -224,12 +229,12 @@ class TestDropDoublyHit:
     def test_no_edges_keeps_selection(self):
         H = Hypergraph(5, [])
         sel = np.array([True, False, True, True, False])
-        assert _drop_doubly_hit(H, sel) == frozenset({0, 2, 3})
-        assert _drop_doubly_hit(H, np.zeros(5, dtype=bool)) == frozenset()
+        assert drop_doubly_hit(H, sel) == frozenset({0, 2, 3})
+        assert drop_doubly_hit(H, np.zeros(5, dtype=bool)) == frozenset()
 
     def test_single_edge(self, single_edge):
-        assert _drop_doubly_hit(single_edge, np.array([True, True, False])) == frozenset()
-        assert _drop_doubly_hit(single_edge, np.array([False, True, False])) == frozenset({1})
+        assert drop_doubly_hit(single_edge, np.array([True, True, False])) == frozenset()
+        assert drop_doubly_hit(single_edge, np.array([False, True, False])) == frozenset({1})
 
 
 def random_linear_instance(n: int, tries: int, dim: int, seed: int):

@@ -10,6 +10,7 @@ from lochroma import (
     GammaProfile,
     Hypergraph,
     PipelineConfig,
+    PipelineError,
     RankedColoring,
     VectorSolution,
     check_lo,
@@ -27,45 +28,27 @@ from lochroma import (
     logn_color_bound,
     ortho_profile,
 )
-from lochroma import pipeline
+from lochroma import gaussround, pipeline
 
 
 class TestExtend:
-    def test_odd_on_empty_coloring(self, single_edge):
-        c = extend_with_odd(single_edge, RankedColoring(), {0})
+    def test_odd_on_empty_coloring(self):
+        c = extend_with_odd(RankedColoring(), {0})
         assert c[0] == 1
 
-    def test_odd_gets_rank_above(self, star_three):
+    def test_odd_gets_rank_above(self):
         base = RankedColoring({1: 1, 2: 2})
-        c = extend_with_odd(star_three, base, {0})
+        c = extend_with_odd(base, {0})
         assert c[0] == 3
 
-    def test_even_gets_rank_below(self, star_three):
+    def test_even_gets_rank_below(self):
         base = RankedColoring({0: 1, 1: 2})
-        c = extend_with_even(star_three, base, {3, 4})
+        c = extend_with_even(base, {3, 4})
         assert c[3] == c[4] == 0
 
-    def test_odd_checks_independence(self, single_edge):
-        # The colored vertex 2 was left when {0, 1} was drawn, so the edge is
-        # checked.
-        with pytest.raises(
-            ValueError, match="odd independent on the vertices left when it was drawn"
-        ):
-            extend_with_odd(single_edge, RankedColoring({2: 1}), {0, 1})
-
-    def test_even_checks_independence(self, single_edge):
-        with pytest.raises(ValueError, match="even independent"):
-            extend_with_even(single_edge, RankedColoring({1: 1, 2: 2}), {0})
-
-    def test_earlier_rounds_are_not_checked(self, single_edge):
-        # Vertex 2 is uncolored: it was drawn in an earlier round, so the
-        # edge is not induced on the vertices left when {0, 1} was drawn.
-        c = extend_with_odd(single_edge, RankedColoring(), {0, 1})
-        assert c[0] == c[1] == 1
-
-    def test_rejects_overlap(self, single_edge):
-        with pytest.raises(ValueError, match="overlap"):
-            extend_with_odd(single_edge, RankedColoring({0: 1}), {0})
+    def test_rejects_overlap(self):
+        with pytest.raises(ValueError, match="already colored"):
+            extend_with_odd(RankedColoring({0: 1}), {0})
 
 
 class TestCombine:
@@ -141,6 +124,54 @@ class TestColorBalanced:
         assert max(cert.norm_residual, cert.edge_residual) <= 1e-9
         coloring = color_balanced(H, ortho_profile(cert), PipelineConfig(seed=0))
         assert check_lo(H, coloring)
+
+    def test_rejects_dependent_odd_set(self, monkeypatch):
+        inst, cert = gen_balanced_tripartite(60, 40, 3)
+        monkeypatch.setattr(gaussround, "best_odd_is", two_of_an_edge)
+        with pytest.raises(PipelineError, match="round 0: set is not odd independent") as exc:
+            color_balanced(inst.H, ortho_profile(cert), PipelineConfig(seed=1))
+        assert exc.value.stage == "color_balanced"
+
+    def test_rejects_dependent_even_set(self, monkeypatch):
+        inst, cert = gen_balanced_tripartite(90, 480, 1)
+        monkeypatch.setattr(pipeline, "even_independent_set", one_of_an_edge)
+        with pytest.raises(PipelineError, match="round 0: set is not even independent"):
+            color_balanced(inst.H, ortho_profile(cert), PipelineConfig(seed=3))
+
+    def test_lo_color_reports_dependent_set_stage(self, monkeypatch):
+        inst, cert = gen_balanced_tripartite(90, 480, 1)
+        monkeypatch.setattr(pipeline, "solve_feasibility", lambda H, cfg: cert)
+        monkeypatch.setattr(pipeline, "even_independent_set", one_of_an_edge)
+        with pytest.raises(PipelineError) as exc:
+            lo_color(inst.H, PipelineConfig(seed=3))
+        assert exc.value.stage == "color_balanced"
+
+    def test_one_induction_per_round(self, monkeypatch):
+        # Every drawn set gets a rank of its own, so rounds equal colors; the
+        # benchmark counts rounds as the induced calls made directly here.
+        calls = []
+        real = pipeline.induced
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "induced", counting)
+        inst, tri_cert = gen_balanced_tripartite(90, 480, 1)
+        for H, cert in (z3_line_core(3, 0.5, 56), (inst.H, tri_cert)):
+            calls.clear()
+            coloring = color_balanced(H, ortho_profile(cert), PipelineConfig(seed=0))
+            assert len(calls) == coloring.num_colors() > 1
+
+
+def two_of_an_edge(sub: Hypergraph, *args, **kwargs) -> frozenset[int]:
+    """A set that meets an edge twice, so it is not odd independent."""
+    return frozenset(sub.edge_array()[0, :2].tolist())
+
+
+def one_of_an_edge(sub: Hypergraph) -> frozenset[int]:
+    """A set that meets an edge once, so it is not even independent."""
+    return frozenset({int(sub.edge_array()[0, 0])})
 
 
 def z3_line_core(d: int, keep: float, seed: int) -> tuple[Hypergraph, VectorSolution]:
