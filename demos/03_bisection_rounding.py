@@ -51,7 +51,7 @@ empty = combinatorial_rounding(tri.H, prof)
 print("rounding colors nothing:", len(empty) == 0)
 
 op = ortho_profile(cert)
-kicked = perturb_gammas(tri.H, prof, op, seed=1)
+kicked = perturb_gammas(prof, op, seed=1)
 spread = np.abs(kicked.gamma + 1.0 / 3.0)
 print(f"after the kick, |gamma + 1/3| in [{spread.min():.2e}, {spread.max():.2e}]")
 E = tri.H.edge_array()

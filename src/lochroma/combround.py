@@ -12,23 +12,22 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .hypercore import Hypergraph, RankedColoring, check_lo, first_violation
+from .hypercore import Hypergraph, RankedColoring, check_lo
 from .rng import derive_seed, normals, substream
 from .sdp import DEFAULT_TOL, GammaProfile, OrthoProfile, THIRD
 
 _BAND_CENTER = Fraction(-1, 3)
 
 # The logn strategy's perturbation: radius of the band around -1/3 that no
-# kicked gamma may land in, Gaussian draws per perturbation, and perturb-and-
-# round attempts per coloring.
+# kicked gamma may land in, and Gaussian draws per coloring.
 EPS_PRIME = 1e-9
-PERTURB_BUDGET = 100
-RETRY_BUDGET = 20
+DRAW_BUDGET = 100
 
 
 class ResampleBudgetExceeded(RuntimeError):
@@ -167,10 +166,6 @@ def combinatorial_rounding(
     return RankedColoring(ranks)
 
 
-def _forbidden(gamma: np.ndarray, eps_prime: float) -> bool:
-    return bool(np.any((gamma > -THIRD - eps_prime) & (gamma < -THIRD + eps_prime)))
-
-
 def _check_perturbable(profile: GammaProfile, ortho: OrthoProfile) -> None:
     if not bool(profile.balanced_mask.all()):
         raise ValueError("profile has unbalanced vertices; perturbation expects all balanced")
@@ -179,39 +174,29 @@ def _check_perturbable(profile: GammaProfile, ortho: OrthoProfile) -> None:
 
 
 def perturb_gammas(
-    H_B: Hypergraph,
-    profile: GammaProfile,
-    ortho: OrthoProfile,
-    seed: int,
-    *,
-    eps_prime: float = EPS_PRIME,
-    budget: int = PERTURB_BUDGET,
-) -> GammaProfile:
+    profile: GammaProfile, ortho: OrthoProfile, seed: int, draw: int = 0
+) -> GammaProfile | None:
     """Kick every gamma off the balance point with one shared Gaussian draw.
 
-    Each vertex moves by its orthogonal direction's projection onto a common
-    Gaussian vector, scaled by 1/n^2.  Because the orthogonal directions of an
-    exactly balanced edge sum to zero, the per-edge gamma sums are preserved.
-    A draw is rejected (and resampled) when some vertex lands inside the open
-    band of radius ``eps_prime`` or some kick exceeds 1/2.
+    Each vertex moves by its orthogonal direction's projection onto the
+    Gaussian vector of substream ``perturb:{draw}`` of ``seed``, scaled by
+    1/n^2.  Because the orthogonal directions of an exactly balanced edge sum
+    to zero, the per-edge gamma sums are preserved.  The draw is rejected,
+    and ``None`` returned, when some kick exceeds 1/2 or some kicked gamma
+    lands inside the open band of radius ``EPS_PRIME`` around -1/3.
     """
     _check_perturbable(profile, ortho)
-    if H_B.n == 0:
-        return GammaProfile(np.zeros(0), eps_prime)
-    scale = float(H_B.n) ** 2
-    for attempt in range(budget):
-        g = normals(substream(seed, f"perturb:{attempt}"), ortho.dim)
-        zeta = ortho.ubar @ g
-        kicked = profile.gamma + zeta / scale
-        if np.abs(zeta).max() / scale <= 0.5 and not _forbidden(kicked, eps_prime):
-            return GammaProfile(kicked, eps_prime)
-    raise ResampleBudgetExceeded(f"no acceptable perturbation in {budget} draws")
+    g = normals(substream(seed, f"perturb:{draw}"), ortho.dim)
+    kick = (ortho.ubar @ g) / float(profile.gamma.size) ** 2
+    kicked = profile.gamma + kick
+    in_band = (kicked > -THIRD - EPS_PRIME) & (kicked < -THIRD + EPS_PRIME)
+    if not (np.abs(kick) <= 0.5).all() or in_band.any():
+        return None
+    return GammaProfile(kicked, EPS_PRIME)
 
 
 def perturbation_slack(n: int, eps: float, tol: float = DEFAULT_TOL) -> float:
     """Per-edge sum slack after perturbing an eps-balanced profile on n vertices."""
-    if n <= 0:
-        return 3.0 * tol
     return 3.0 * tol + math.sqrt(18.0 * eps) / n
 
 
@@ -225,39 +210,38 @@ def balanced_log_coloring(
 ) -> RankedColoring:
     """Full coloring of a balanced hypergraph: perturb, then bisection-round.
 
-    After a successful perturbation no gamma is balanced, so the rounding
-    colors every vertex; validity is still verified and the whole draw is
-    retried on failure, up to ``RETRY_BUDGET`` attempts.  An unbalanced
-    profile or degenerate orthogonal directions fail every draw alike, so
-    they raise ``ValueError`` before the first.
+    Draws 0, 1, ... of one seeded stream are tried in turn, up to
+    ``DRAW_BUDGET``.  A draw is rejected when ``perturb_gammas`` rejects it,
+    when an edge's kicked gammas miss -1 by more than the perturbation slack,
+    when the rounding leaves a vertex uncolored, or when the coloring fails
+    ``check_lo``.  An unbalanced profile or degenerate orthogonal directions
+    fail every draw alike, so they raise ``ValueError`` before the first.
     """
     if H_B.n == 0:
         return RankedColoring()
     _check_perturbable(profile, ortho)
     slack = perturbation_slack(H_B.n, profile.eps, tol)
-    last_error: Exception | None = None
-    for attempt in range(RETRY_BUDGET):
-        try:
-            kicked = perturb_gammas(H_B, profile, ortho, derive_attempt_seed(seed, attempt))
-            partial = combinatorial_rounding(H_B, kicked, sum_slack=slack)
-        except (ResampleBudgetExceeded, ValueError) as exc:
-            last_error = exc
+    # "retry:0" is the stream logn has always drawn from first: its colorings stay the same.
+    stream = derive_seed(seed, "retry:0")
+    rejected = Counter()
+    for draw in range(DRAW_BUDGET):
+        kicked = perturb_gammas(profile, ortho, stream, draw)
+        if kicked is None:
+            rejected["kick"] += 1
             continue
-        leftover = [v for v in range(H_B.n) if v not in partial]
-        if leftover:
-            floor_rank = (partial.min_rank() - 1) if partial else 1
-            full = partial.assign(leftover, floor_rank)
+        try:
+            coloring = combinatorial_rounding(H_B, kicked, sum_slack=slack)
+        except ValueError:
+            rejected["sum"] += 1
+            continue
+        if len(coloring) < H_B.n:
+            rejected["uncolored"] += 1
+        elif not check_lo(H_B, coloring):
+            rejected["lo"] += 1
         else:
-            full = partial
-        if check_lo(H_B, full):
-            return full
-        e = tuple(H_B.edge_array()[first_violation(H_B, full)].tolist())
-        last_error = ValueError(f"edge {e} has duplicated maximum rank {max(map(full.get, e))}")
+            return coloring
     raise ResampleBudgetExceeded(
-        f"no valid coloring in {RETRY_BUDGET} attempts; last failure: {last_error}"
+        f"no valid coloring in {DRAW_BUDGET} draws: {rejected['kick']} kicked a gamma"
+        f" by over 1/2 or into the eps' band, {rejected['sum']} broke an edge sum, {rejected['uncolored']}"
+        f" left a vertex uncolored, {rejected['lo']} failed check_lo"
     )
-
-
-def derive_attempt_seed(seed: int, attempt: int) -> int:
-    # Keep retry draws on disjoint substreams of the caller's seed.
-    return derive_seed(seed, f"retry:{attempt}")

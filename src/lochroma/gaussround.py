@@ -43,6 +43,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # long trace; best_odd_is batches all of its 16 ceil(ln n) draws.
 TRACE_BATCH = 256
 
+# Random hyperplanes ``two_sided_round`` tries before giving up.
+HYPERPLANE_BUDGET = 50
+
 
 def gcap(t):
     """Upper tail of the standard Gaussian, Pr[g >= t]."""
@@ -257,8 +260,6 @@ def two_sided_round(
     H: Hypergraph,
     sol: VectorSolution,
     seed: int,
-    *,
-    retry_budget: int = 50,
 ) -> RankedColoring:
     """Proper 2-coloring: split on gamma around -1/3, hyperplane-split the rest.
 
@@ -278,10 +279,10 @@ def two_sided_round(
     ranks = np.where(right, 2, 1)
     mids = np.flatnonzero(middle)
     E = H.edge_array()
-    for attempt in range(retry_budget):
+    for attempt in range(HYPERPLANE_BUDGET):
         r = unit_vector(substream(seed, f"hyperplane:{attempt}"), ortho.dim)
         ranks[mids] = np.where(ortho.ubar[mids] @ r >= 0.0, 2, 1)
         R = ranks[E]
         if (R.min(axis=1) < R.max(axis=1)).all():
             return RankedColoring(dict(enumerate(ranks.tolist())))
-    raise ResampleBudgetExceeded(f"no proper 2-coloring in {retry_budget} hyperplane draws")
+    raise ResampleBudgetExceeded(f"no proper 2-coloring in {HYPERPLANE_BUDGET} hyperplane draws")

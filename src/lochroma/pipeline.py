@@ -73,7 +73,7 @@ class PipelineConfig:
     it.  ``seed`` roots every random draw of the
     run through named substreams.  The paper's fixed constants are module
     constants: ``DELTA_EXPONENT`` here, ``combround.EPS_PRIME`` and
-    ``combround.RETRY_BUDGET`` for ``logn``, and ``gaussround.default_reps``
+    ``combround.DRAW_BUDGET`` for ``logn``, and ``gaussround.default_reps``
     for the threshold rounding's amplification.
     """
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from lochroma import (
     GammaProfile,
     Hypergraph,
+    OrthoProfile,
+    RankedColoring,
     ResampleBudgetExceeded,
     balanced_log_coloring,
     check_lo,
@@ -31,6 +33,7 @@ from lochroma import (
 )
 from lochroma import combround
 from lochroma.combround import check_gamma_sums
+from lochroma.rng import derive_seed
 
 THIRD = 1.0 / 3.0
 
@@ -201,45 +204,49 @@ class TestPerturb:
         inst, cert = gen_balanced_tripartite(30, 25, 1)
         profile = gamma_profile(cert, 1e-6)
         op = ortho_profile(cert)
-        kicked = perturb_gammas(inst.H, profile, op, seed=1)
+        kicked = perturb_gammas(profile, op, seed=1)
         E = inst.H.edge_array()
         sums = kicked.gamma[E[:, 0]] + kicked.gamma[E[:, 1]] + kicked.gamma[E[:, 2]]
         # The 120-degree directions cancel, so the kicks cancel too.
         assert np.abs(sums + 1.0).max() < 1e-12
 
     def test_tripartite_seed1_accepts_quickly(self):
-        # Recorded run: seed 1 needs at most 5 draws to clear the forbidden
-        # band with every kick at most 1/2.
+        # Recorded run: each of the first 5 draws of seed 1 clears the
+        # forbidden band with every kick at most 1/2.
         inst, cert = gen_balanced_tripartite(30, 25, 1)
         profile = gamma_profile(cert, 1e-6)
         op = ortho_profile(cert)
-        kicked = perturb_gammas(inst.H, profile, op, seed=1, budget=5)
-        assert not np.any(
-            (kicked.gamma > -THIRD - 1e-9) & (kicked.gamma < -THIRD + 1e-9)
-        )
-        assert np.abs(kicked.gamma - profile.gamma).max() <= 0.5
+        for draw in range(5):
+            kicked = perturb_gammas(profile, op, seed=1, draw=draw)
+            assert not np.any(
+                (kicked.gamma > -THIRD - 1e-9) & (kicked.gamma < -THIRD + 1e-9)
+            )
+            assert np.abs(kicked.gamma - profile.gamma).max() <= 0.5
 
     def test_zero_kick_is_rejected_by_band_test(self):
-        # A zero draw leaves every gamma at -1/3, inside the forbidden band,
-        # so the acceptance predicate refuses it.
-        from lochroma.combround import _forbidden
+        # Zero directions give a zero kick, which leaves every gamma at -1/3,
+        # inside the forbidden band, so the draw is refused.
+        profile = GammaProfile(np.full(5, -THIRD), 1e-6)
+        zero = OrthoProfile(np.zeros((5, 2)), frozenset())
+        assert perturb_gammas(profile, zero, seed=0) is None
 
-        gamma = np.full(5, -THIRD)
-        assert _forbidden(gamma, 1e-9)
-
-    def test_requires_all_balanced(self, single_edge):
+    def test_requires_all_balanced(self):
         profile = GammaProfile(np.array([1.0, -1.0, -1.0]), 1e-3)
         inst, cert = gen_balanced_tripartite(3, 1, 0)
         with pytest.raises(ValueError, match="balanced"):
-            perturb_gammas(single_edge, profile, ortho_profile(cert), seed=0)
+            perturb_gammas(profile, ortho_profile(cert), seed=0)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         inst, cert = gen_balanced_tripartite(30, 25, 1)
         profile = gamma_profile(cert, 1e-6)
         op = ortho_profile(cert)
         # An absurdly wide forbidden band rejects every draw.
-        with pytest.raises(ResampleBudgetExceeded):
-            perturb_gammas(inst.H, profile, op, seed=1, eps_prime=0.4, budget=3)
+        monkeypatch.setattr(combround, "EPS_PRIME", 0.4)
+        assert all(perturb_gammas(profile, op, seed=1, draw=d) is None for d in range(3))
+
+
+def _edge_sum_off(H, profile, *, sum_slack):
+    raise ValueError("inconsistent gammas")
 
 
 class TestBalancedLogColoring:
@@ -295,22 +302,88 @@ class TestBalancedLogColoring:
 
     def test_budget_exhausted_when_every_perturbation_fails(self, monkeypatch):
         inst, cert = gen_balanced_tripartite(30, 25, 1)
-        seeds = []
+        perturb = combround.perturb_gammas
+        calls = []
 
-        def failing(H_B, profile, ortho, seed, **kwargs):
-            seeds.append(seed)
-            raise ResampleBudgetExceeded("no acceptable perturbation in 100 draws")
+        def recording(profile, ortho, seed, draw=0):
+            calls.append((seed, draw))
+            return perturb(profile, ortho, seed, draw)
 
-        monkeypatch.setattr(combround, "perturb_gammas", failing)
+        # An absurdly wide forbidden band rejects every draw.
+        monkeypatch.setattr(combround, "EPS_PRIME", 0.4)
+        monkeypatch.setattr(combround, "perturb_gammas", recording)
         with pytest.raises(
             ResampleBudgetExceeded,
-            match="no valid coloring in 20 attempts; last failure: no acceptable perturbation",
+            match=r"^no valid coloring in 100 draws: 100 kicked a gamma by over 1/2 or into "
+            r"the eps' band, 0 broke an edge sum, 0 left a vertex uncolored, 0 failed check_lo$",
         ):
             balanced_log_coloring(
                 inst.H, gamma_profile(cert, 1e-6), ortho_profile(cert), seed=0
             )
-        # One fresh substream per attempt.
-        assert len(set(seeds)) == len(seeds) == combround.RETRY_BUDGET == 20
+        # Draws 0, 1, ... of one stream.
+        assert calls == [(derive_seed(0, "retry:0"), d) for d in range(combround.DRAW_BUDGET)]
+
+    @pytest.mark.parametrize(
+        "name, fake, count",
+        [
+            ("combinatorial_rounding", _edge_sum_off, "100 broke an edge sum"),
+            ("combinatorial_rounding", lambda H, p, *, sum_slack: RankedColoring({0: 1}),
+             "100 left a vertex uncolored"),
+            ("check_lo", lambda H, coloring: False, "100 failed check_lo"),
+        ],
+        ids=["edge_sum", "uncolored", "check_lo"],
+    )
+    def test_each_check_rejects_the_draw(self, monkeypatch, name, fake, count):
+        inst, cert = gen_balanced_tripartite(30, 25, 1)
+        monkeypatch.setattr(combround, name, fake)
+        with pytest.raises(ResampleBudgetExceeded, match=f"in 100 draws: 0 kicked .*{count}"):
+            balanced_log_coloring(
+                inst.H, gamma_profile(cert, 1e-6), ortho_profile(cert), seed=0
+            )
+
+    def test_rejected_draw_moves_to_the_next(self, monkeypatch):
+        inst, cert = gen_balanced_tripartite(30, 25, 1)
+        profile, op = gamma_profile(cert, 1e-6), ortho_profile(cert)
+        check, verdicts = combround.check_lo, [False]
+        monkeypatch.setattr(
+            combround, "check_lo", lambda H, c: verdicts.pop() if verdicts else check(H, c)
+        )
+        coloring = balanced_log_coloring(inst.H, profile, op, seed=0)
+        kicked = perturb_gammas(profile, op, derive_seed(0, "retry:0"), draw=1)
+        slack = combround.perturbation_slack(inst.H.n, profile.eps)
+        assert coloring == combinatorial_rounding(inst.H, kicked, sum_slack=slack)
+
+
+class TestLognProperties:
+    """On exactly balanced tripartite certificates, logn colors everything
+    validly within the schedule's color count, and every accepted draw keeps
+    the edge sums and clears the forbidden band."""
+
+    @given(
+        k=st.integers(1, 12),
+        data=st.data(),
+        gen_seed=st.integers(0, 999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_balanced_tripartite(self, k, data, gen_seed, seed):
+        m = data.draw(st.integers(0, k), label="m")
+        inst, cert = gen_balanced_tripartite(3 * k, m, gen_seed)
+        profile, op = gamma_profile(cert, 1e-6), ortho_profile(cert)
+        coloring = balanced_log_coloring(inst.H, profile, op, seed)
+        assert coloring.domain() == frozenset(range(inst.H.n))
+        assert check_lo(inst.H, coloring)
+        assert coloring.num_colors() <= schedule(combround.EPS_PRIME).T + 1
+        E = inst.H.edge_array()
+        for draw in range(4):
+            kicked = perturb_gammas(profile, op, seed, draw)
+            if kicked is None:
+                continue
+            sums = kicked.gamma[E].sum(axis=1)
+            assert np.all(np.abs(sums + 1.0) <= 1e-12)
+            g = kicked.gamma
+            eps_prime = combround.EPS_PRIME
+            assert not np.any((g > -THIRD - eps_prime) & (g < -THIRD + eps_prime))
 
 
 class TestRoundingProperties:

@@ -28,18 +28,25 @@ print(json.dumps(out))
 """
 
 # Balanced inputs, which the planted cases never reach (balanced = 0 there):
-# color_balanced on low-degree tripartite certificates, and best_odd_is on
-# random directions.  n * dim is 9900 and 32000, above the 9216 below which
-# OpenBLAS runs a matrix-vector product on one thread whatever the setting.
+# color_balanced and balanced_log_coloring on low-degree tripartite
+# certificates, and best_odd_is on random directions.  n * dim is 9900 and
+# 32000, above the 9216 below which OpenBLAS runs a matrix-vector product on
+# one thread whatever the setting.
 BALANCED_SCRIPT = """
 import json
-from lochroma import PipelineConfig, best_odd_is, gen_balanced_tripartite, ortho_profile
+from lochroma import (
+    PipelineConfig, balanced_log_coloring, best_odd_is, gamma_profile,
+    gen_balanced_tripartite, ortho_profile,
+)
 from lochroma.pipeline import color_balanced
 from test_gaussround import random_linear_instance
 out = []
 for seed in range(3):
     inst, cert = gen_balanced_tripartite(3300, 1650, seed)
-    coloring = color_balanced(inst.H, ortho_profile(cert), PipelineConfig(seed=seed))
+    op = ortho_profile(cert)
+    coloring = color_balanced(inst.H, op, PipelineConfig(seed=seed))
+    out.append(sorted(coloring.items()))
+    coloring = balanced_log_coloring(inst.H, gamma_profile(cert, 1e-6), op, seed)
     out.append(sorted(coloring.items()))
     H, op = random_linear_instance(2000, 3000, 16, seed)
     out.append(sorted(best_odd_is(H, op, 4.0, seed=seed)))
@@ -69,5 +76,5 @@ def test_same_colorings_and_iters_across_blas_threads():
 
 def test_same_balanced_rounding_across_blas_threads():
     one, two = _run(1, BALANCED_SCRIPT), _run(2, BALANCED_SCRIPT)
-    assert len(one) == 6 and all(one)
+    assert len(one) == 9 and all(one)
     assert one == two

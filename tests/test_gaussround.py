@@ -455,5 +455,5 @@ class TestTwoSided:
         # hyperplane puts all of them on the same side.
         vec = [-1.0 / 3.0, math.sqrt(8.0) / 3.0]
         sol = VectorSolution.from_vectors(single_edge, [1.0, 0.0], [vec, vec, vec])
-        with pytest.raises(ResampleBudgetExceeded, match="in 5 hyperplane draws"):
-            two_sided_round(single_edge, sol, seed=0, retry_budget=5)
+        with pytest.raises(ResampleBudgetExceeded, match="in 50 hyperplane draws"):
+            two_sided_round(single_edge, sol, seed=0)
