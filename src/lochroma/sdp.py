@@ -11,10 +11,11 @@ vertices at +v*, base vertices at -v*), so a rank-3 factor of the null space
 always contains one.  Where both rank-3 attempts stall, two more run at a
 wider rank, up to 8, where the Burer-Monteiro landscape is more benign
 (Boumal, Voroninski & Bandeira 2016).  Each solve builds the sparse
-(n+1) x m incidence Z and its Gram G = Z Z^T once.  The basis spans the zero
-eigenvectors of G, turned to a seeded rotation so that it does not depend on
-the rotation eigh returns, which moves with BLAS threading; it is not built
-when n+1-m alone puts the reduced system above ``MAX_DOF``.  The only
+(n+1) x m incidence Z and its Gram G = Z Z^T once.  The basis spans the null
+space of G, read off a rank-revealing pivoted Cholesky factor of the dense G
+(LAPACK ``dpstrf``) and turned to a seeded rotation so that it does not
+depend on rounding, which moves with BLAS threading; it is not built when
+n+1-m alone puts the reduced system above ``MAX_DOF``.  The only
 fallback is a full-space phase: damped renormalized penalty descent plus an
 LM polish, from seeded restarts.  Its per-vertex sums of edge residuals are
 one product with Z's vertex rows, stored in the order a per-edge
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpstrf
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .hypercore import Hypergraph
@@ -51,11 +53,12 @@ REDUCED_RANK = 3
 WIDE_RANK = 8
 MAX_DOF = 1200
 
-# Eigenvalues of the edge Gram G up to NULL_CUT * ||G||_inf span the null
-# space.  In units of ||G||_inf, over 137 planted cores (n = 150-900) the zero
-# ones were at most 7.0e-17, and the nonzero ones at least 9.6e-6 with m >= n+1
-# and 4.87e-10 with m < n+1 (the core of gen_planted(900, 810, 2)), so the cut
-# clears both sides by about 480x or more.
+# The pivoted Cholesky factor of the edge Gram G stops at the first pivot (a
+# diagonal entry of the Schur complement left) up to NULL_CUT * ||G||_inf;
+# the pivots not taken span the null space.  In units of ||G||_inf, over 140
+# planted cores (n = 150-900, m/n = 0.5-3, seeds 0-3) every accepted pivot was
+# at least 5.66e-9 (the core of gen_planted(900, 810, 2)) and every diagonal
+# entry left at most 3.5e-16, so the cut clears both sides by more than 2800x.
 NULL_CUT = 1e-12
 
 THIRD = 1.0 / 3.0
@@ -247,8 +250,16 @@ def _edge_incidence(E: np.ndarray, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix
     np.cumsum(np.bincount(rows, minlength=n + 1), out=indptr[1:])
     cols = np.tile(np.arange(m), 4)[order]
     Z = sp.csr_matrix((np.ones(4 * m), cols, indptr), shape=(n + 1, m))
-    G = Z @ Z.T
-    G.sort_indices()
+    # G[i, j] counts the edges whose quadruple (a, b, c, n) holds both i and
+    # j.  Each ordered pair of a quadruple is one key i*(n+1) + j; the sorted
+    # distinct keys are G's entries in row-major order.
+    quad = np.column_stack([E, np.full(m, n)])
+    keys, counts = np.unique((quad[:, :, None] * (n + 1) + quad[:, None, :]).ravel(),
+                             return_counts=True)
+    g_rows, g_cols = np.divmod(keys, n + 1)
+    g_indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(g_rows, minlength=n + 1), out=g_indptr[1:])
+    G = sp.csr_matrix((counts.astype(float), g_cols, g_indptr), shape=(n + 1, n + 1))
     return Z, G
 
 
@@ -366,17 +377,29 @@ def _edge_null_basis(G: sp.csr_matrix, seed: int = 0) -> np.ndarray:
     constraints identically; only the unit-norm rows remain to be arranged.
 
     The edge indicators are the columns of the incidence Z, so the basis
-    spans the eigenvectors of the Gram G = Z Z^T with eigenvalues up to
-    ``NULL_CUT * ||G||_inf``.  Eigenvectors of a zero cluster are an
-    arbitrary rotation of the subspace that moves with BLAS threading, so
-    the basis is re-derived as orth(P S), with P the projector onto the
-    computed subspace and S a Gaussian draw from a named substream of
-    ``seed``.
+    spans the null space of the Gram G = Z Z^T.  G is positive
+    semidefinite, and LAPACK's pivoted Cholesky (``dpstrf``) factors it as
+    Pi^T G Pi = L L^T, stopping once every pivot left is at most
+    ``NULL_CUT * ||G||_inf``; L = [L11; L21] has rank r.  With N = n+1,
+    the q = N - r columns of K = Pi [-L11^-T L21^T; I_q] span the null space.  A basis
+    taken from K alone moves with rounding, and so with BLAS threading, so
+    the basis is orth(P S), with P the projector onto span K and S a
+    Gaussian draw from a named substream of ``seed``.
     """
-    Gd = G.toarray()
+    Gd = G.toarray(order="F")
+    N = Gd.shape[0]
     cut = NULL_CUT * float(Gd.sum(axis=1).max())
-    _, U = eigh(Gd, subset_by_value=(-np.inf, cut), driver="evr")
-    S = normals(substream(seed, "sdp:null-rotation"), (Gd.shape[0], U.shape[1]))
+    # Gd is Fortran-ordered, so the factor overwrites it in place.
+    L, piv, r, info = dpstrf(Gd, lower=1, tol=cut, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dpstrf: argument {-info} is invalid")
+    # info = 1 means rank r < N: the normal case, as (1, ..., 1, -3) is null.
+    # piv is 1-based.
+    K = np.empty((N, N - r))
+    K[piv[:r] - 1] = -solve_triangular(L[:r, :r], L[r:, :r].T, trans="T", lower=True)
+    K[piv[r:] - 1] = np.eye(N - r)
+    U, _ = np.linalg.qr(K)
+    S = normals(substream(seed, "sdp:null-rotation"), (N, N - r))
     B, _ = np.linalg.qr(U @ (U.T @ S))
     return B
 

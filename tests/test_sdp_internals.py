@@ -1,6 +1,7 @@
-"""Solver internals: the edge null-space basis and its eigenvalue cut, the
-skip of an unused basis, the reduced LM step and its two ranks, and the
-full-space fallback's sparse edge scatter."""
+"""Solver internals: the edge Gram, the null-space basis from its pivoted
+Cholesky factor and the cut on that factor's pivots, the skip of an unused
+basis, the reduced LM step and its two ranks, and the full-space fallback's
+sparse edge scatter."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh, null_space
+from scipy.linalg import eigh, eigvalsh, null_space
+from scipy.linalg.lapack import dpstrf
 from scipy.sparse.linalg import LinearOperator, cg
 
 from lochroma import Hypergraph, SdpConfig, gen_planted, residual, solve_feasibility
@@ -97,6 +99,37 @@ def test_null_cut_clears_both_sides_of_the_spectrum():
     cut = sdp.NULL_CUT * Gd.sum(axis=1).max()
     assert _edge_null_basis(_gram(H)).shape == (H.n + 1, q) == (830, 20)
     assert 100 * np.abs(ev[:q]).max() <= cut and 100 * cut <= ev[q]
+
+
+def test_null_cut_clears_both_sides_of_the_pivots():
+    """On the same core, the one with the smallest accepted pivot over 140
+    measured planted cores (5.7e-9 * ||G||_inf), every pivot the factor
+    takes is 100x or more above the cut, and every diagonal entry of the
+    Schur complement it leaves is 100x or more below it."""
+    H = _planted_core(900, 810, 2)
+    Gd = _gram(H).toarray()
+    cut = sdp.NULL_CUT * Gd.sum(axis=1).max()
+    L, piv, r, info = dpstrf(Gd, lower=1, tol=cut)
+    assert (info, H.n + 1 - r) == (1, 20)
+    L1 = np.tril(L[:, :r])
+    p = piv - 1
+    taken = np.diag(L1[:r]) ** 2
+    left = np.diag(Gd)[p[r:]] - (L1[r:] ** 2).sum(axis=1)
+    assert taken.min() >= 100 * cut
+    assert np.abs(left).max() <= cut / 100
+
+
+def test_edge_null_basis_matches_eigh_reference_at_planted_dense_size():
+    """On a core of planted-dense's largest size the basis spans the
+    eigenvectors of G with eigenvalues up to the cut, to 1e-12."""
+    H = _planted_core(1200, 3600, 0)
+    G = _gram(H)
+    Gd = G.toarray()
+    cut = sdp.NULL_CUT * Gd.sum(axis=1).max()
+    _, U = eigh(Gd, subset_by_value=(-np.inf, cut))
+    B = _edge_null_basis(G, 5)
+    assert B.shape == U.shape and B.shape[1] >= 1
+    assert np.abs(B @ B.T - U @ U.T).max() <= 1e-12
 
 
 def test_solve_skips_basis_when_bound_exceeds_max_dof(monkeypatch):
@@ -308,6 +341,20 @@ def test_polish_matrix_is_sorted_incidence_gram(inputs):
     assert np.array_equal(A.indptr, ref.indptr)
     assert np.array_equal(A.indices, ref.indices)
     assert np.array_equal(A.data, ref.data)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["m<n+1", "m>=n+1"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_gram_matches_sorted_sparse_product(wide, data):
+    """G, counted from the edge array, is scipy's Z @ Z.T with sorted indices."""
+    H = data.draw(linear_hypergraphs(wide))
+    Z, G = sdp._edge_incidence(H.edge_array(), H.n)
+    ref = Z @ Z.T
+    ref.sort_indices()
+    assert np.array_equal(G.indptr, ref.indptr)
+    assert np.array_equal(G.indices, ref.indices)
+    assert np.array_equal(G.data, ref.data)
 
 
 @given(inputs=descent_inputs(), iters=st.integers(1, 8), tol=st.sampled_from([0.0, 1e-8]))
