@@ -16,11 +16,12 @@ space of G, read off a rank-revealing pivoted Cholesky factor of the dense G
 (LAPACK ``dpstrf``) and turned to a seeded rotation so that it does not
 depend on rounding, which moves with BLAS threading; it is not built when
 n+1-m alone puts the reduced system above ``MAX_DOF``.  The only
-fallback is a full-space phase: damped renormalized penalty descent plus an
-LM polish, from seeded restarts.  Its per-vertex sums of edge residuals are
-one product with Z's vertex rows, stored in the order a per-edge
-``np.add.at`` scatter visits them (so the sums are bit-identical to it), the
-degrees are G's diagonal, and the polish's Gauss-Newton matrix is G.
+fallback is a full-space phase: Levenberg-Marquardt on the stacked edge-sum
+and unit-norm residuals, from seeded restarts, each step an inexact CG solve
+(an inexact-Newton forcing term, Dembo, Eisenstat & Steihaug 1982).  Its
+per-vertex sums of edge residuals are one product with Z's vertex rows,
+stored in the order a per-edge ``np.add.at`` scatter visits them (so the
+sums are bit-identical to it), and its Gauss-Newton matrix is G.
 A stall is never reported as an infeasibility certificate; it carries the
 residuals of the best candidate (smallest worst-residual) as evidence.
 """
@@ -41,9 +42,7 @@ from .rng import normals, substream
 
 DEFAULT_TOL = 1e-8
 
-# The full-space phase: penalty-descent sweeps per attempt, and seeded
-# restarts after the reduced phase.
-MAX_SWEEPS = 800
+# Seeded restarts of the full-space phase after the reduced phase.
 RESTARTS = 5
 
 # Reduced-LM ranks on a q-dimensional null space: min(q, REDUCED_RANK), then
@@ -241,7 +240,7 @@ def _edge_incidence(E: np.ndarray, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix
     argsort of ``E.T.ravel()``).  Row n lists every edge in order.  These
     indices are left in that order on purpose; sorting them would change the
     order in which ``Z @ T`` adds each row's terms.  G's indices are sorted,
-    as the polish's CG matvec sums in stored order.
+    as the full-space LM's CG matvec sums in stored order.
     """
     m = len(E)
     rows = np.concatenate([E.T.ravel(), np.full(m, n)])
@@ -263,64 +262,20 @@ def _edge_incidence(E: np.ndarray, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix
     return Z, G
 
 
-def _penalty_descent(X, E, Z, G, tol, max_sweeps, omega=0.5, patience=150):
-    """Damped renormalized block descent on the summed edge penalty.
-
-    Each sweep moves every row toward the negated sum of the residuals of
-    its edges, less its own degree-weighted vector; the degrees, with m for
-    the special row, are the diagonal of the Gram G = Z Z^T.  The vertex
-    sums are one product ``S @ T`` with S the vertex rows of the incidence
-    Z; S stores each row in scatter order, so the product adds the same
-    floats in the same order, starting from zero, as three ``np.add.at``
-    calls over ``E[:, 0]``, ``E[:, 1]`` and ``E[:, 2]``.  The special row's
-    sum is ``T.sum(axis=0)``.  Rows of degree 0 are left untouched.  Stops
-    at tolerance or when the residual has not improved by 0.1% for
-    ``patience`` sweeps (plateau), handing off to the second-order polish.
-    """
-    n = X.shape[0] - 1
-    S = Z[:n]
-    degall = G.diagonal()
-    active = degall > 0
-    W = np.empty_like(X)
-    res = 0.0
-    best = math.inf
-    best_sweep = 0
-    for sweep in range(max_sweeps):
-        T = X[E[:, 0]] + X[E[:, 1]] + X[E[:, 2]] + X[n]
-        res = float(np.linalg.norm(T, axis=1).max()) if len(E) else 0.0
-        if res <= tol:
-            return X, sweep, res
-        if res < best * 0.999:
-            best, best_sweep = res, sweep
-        elif sweep - best_sweep > patience:
-            return X, sweep, res
-        W[:n] = S @ T
-        W[n] = T.sum(axis=0)
-        W -= degall[:, None] * X
-        target = -W
-        tn = np.linalg.norm(target, axis=1, keepdims=True)
-        ok = tn[:, 0] > 1e-15
-        if ok.all():
-            # Every row steps, as on every core lo_color builds: no masks.
-            X = (1.0 - omega) * X + omega * (target / tn)
-            X /= np.linalg.norm(X, axis=1, keepdims=True)
-        else:
-            # A degree-0 row has a zero target, so it never steps, and it is
-            # left out of the renormalization.  An active row whose target
-            # vanishes keeps its direction.
-            stepped = X.copy()
-            stepped[ok] = (1.0 - omega) * X[ok] + omega * (target[ok] / tn[ok])
-            stepped[active] /= np.linalg.norm(stepped[active], axis=1, keepdims=True)
-            X = stepped
-    return X, max_sweeps, res
-
-
 def _lm_polish(X, E, Z, G, tol, max_iters):
     """Levenberg-Marquardt on stacked edge-sum and unit-norm residuals.
 
     The Gauss-Newton matrix of the edge part is the Gram G = Z Z^T; J^T F's
     edge part is the scatter ``Z[:n] @ T`` plus the special row's
-    ``T.sum(axis=0)``.
+    ``T.sum(axis=0)``.  Each step is solved by CG only to the relative
+    residual min(0.1, val), with val the current sum of squared residuals:
+    an inexact-Newton forcing term (Dembo, Eisenstat & Steihaug 1982;
+    Eisenstat & Walker 1996).  Far from a solution a loose step is as good
+    as an exact one and costs a few matvecs, so the method needs no
+    first-order phase to reach its basin; as val falls the steps tighten
+    and convergence turns superlinear.  The forcing term tracks val, not
+    its square root, which is too loose to converge within ``max_iters``
+    on some planted cores.
     """
     n1, r = X.shape
     n = n1 - 1
@@ -356,7 +311,7 @@ def _lm_polish(X, E, Z, G, tol, max_iters):
             return (out + lam * D).ravel()
 
         op = LinearOperator((n1 * r, n1 * r), matvec=matvec)
-        delta, _ = cg(op, -JtF.ravel(), rtol=1e-10, atol=0.0, maxiter=500)
+        delta, _ = cg(op, -JtF.ravel(), rtol=min(0.1, val), atol=0.0, maxiter=500)
         trial = X + delta.reshape(n1, r)
         Tt, gt = residual_parts(trial)
         tv = value(Tt, gt)
@@ -471,10 +426,7 @@ def solve_feasibility(
 
     def full_space_attempt(X):
         X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-        # The first-order phase only needs to reach the polish method's basin.
-        X, sweeps, _ = _penalty_descent(X, E, Z, G, max(cfg.tol, 5e-2), MAX_SWEEPS)
-        X, lm_iters, ok = _lm_polish(X, E, Z, G, cfg.tol, 80)
-        return X, sweeps + lm_iters, ok
+        return _lm_polish(X, E, Z, G, cfg.tol, 80)
 
     def attempts():
         """Stacked candidates (X, iterations spent, converged), in the order tried."""
@@ -504,7 +456,7 @@ def solve_feasibility(
                     Y, it, ok = _reduced_lm(B, Y0, cfg.tol, 300)
                     yield B @ Y, it, ok
 
-        # Phase 2: full-space penalty descent plus LM polish, random restarts.
+        # Phase 2: full-space LM from seeded random starts.
         for attempt in range(RESTARTS):
             rng = substream(cfg.seed, f"sdp:init:{attempt}")
             yield full_space_attempt(normals(rng, (H.n + 1, r)))

@@ -15,8 +15,9 @@ import lochroma
 # At (300, 270) the cores have m < n+1 and q = 13-19; there an unrotated SVD
 # null basis gives seed 1 a different coloring under two threads.  At
 # (1200, 3600), the largest planted-dense size, the null-space factor runs
-# blocked and threaded.
-SIZES = [(1200, 3600), (600, 1800), (300, 900), (300, 270), (240, 120), (45, 22)]
+# blocked and threaded.  At (1600, 800) no basis is built and the
+# full-space LM alone solves the core.
+SIZES = [(1600, 800), (1200, 3600), (600, 1800), (300, 900), (300, 270), (240, 120), (45, 22)]
 CASES = [(n, m, seed) for n, m in SIZES for seed in range(3)]
 
 SCRIPT = """
