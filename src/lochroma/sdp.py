@@ -45,6 +45,15 @@ DEFAULT_TOL = 1e-8
 # Seeded restarts of the full-space phase after the reduced phase.
 RESTARTS = 5
 
+# LM iterations of each full-space start.  Near the rank-deficient solutions
+# of the harder planted cores the LM converges only linearly.  Over its
+# starts on the cores of gen_planted(n, m, s) for 8 shapes, n = 150-600 and
+# m/n = 0.5-0.8, s = 0-5 (and s = 6-11 at m/n = 0.7-0.8), every start that
+# converged within 400 iterations took at most 182, bar the core of
+# gen_planted(150, 112, 0), which takes about 300 and which the rank-8
+# reduced attempt solves.
+FULL_SPACE_ITERS = 200
+
 # Reduced-LM ranks on a q-dimensional null space: min(q, REDUCED_RANK), then
 # min(q, WIDE_RANK, MAX_DOF // q) if larger.  Each step solves a dense (q*r)^2
 # system; null spaces with q*r above MAX_DOF go to the full-space phase.
@@ -262,7 +271,7 @@ def _edge_incidence(E: np.ndarray, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix
     return Z, G
 
 
-def _lm_polish(X, E, Z, G, tol, max_iters):
+def _full_space_lm(X, E, Z, G, tol, max_iters):
     """Levenberg-Marquardt on stacked edge-sum and unit-norm residuals.
 
     The Gauss-Newton matrix of the edge part is the Gram G = Z Z^T; J^T F's
@@ -273,9 +282,11 @@ def _lm_polish(X, E, Z, G, tol, max_iters):
     Eisenstat & Walker 1996).  Far from a solution a loose step is as good
     as an exact one and costs a few matvecs, so the method needs no
     first-order phase to reach its basin; as val falls the steps tighten
-    and convergence turns superlinear.  The forcing term tracks val, not
-    its square root, which is too loose to converge within ``max_iters``
-    on some planted cores.
+    and convergence turns superlinear, except near the rank-deficient
+    solutions of some cores, where it is linear and each CG solve stops at
+    ``maxiter`` (see ``FULL_SPACE_ITERS``).  The forcing term tracks val,
+    not its square root, which took more iterations on each of three planted
+    cores measured (80 against 69 on the core of gen_planted(150, 112, 1)).
     """
     n1, r = X.shape
     n = n1 - 1
@@ -426,7 +437,7 @@ def solve_feasibility(
 
     def full_space_attempt(X):
         X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-        return _lm_polish(X, E, Z, G, cfg.tol, 80)
+        return _full_space_lm(X, E, Z, G, cfg.tol, FULL_SPACE_ITERS)
 
     def attempts():
         """Stacked candidates (X, iterations spent, converged), in the order tried."""
