@@ -17,7 +17,7 @@ space of G, read off a rank-revealing pivoted Cholesky factor of the dense G
 depend on rounding, which moves with BLAS threading; it is not built when
 n+1-m alone puts the reduced system above ``MAX_DOF``.  The only
 fallback is a full-space phase: Levenberg-Marquardt on the stacked edge-sum
-and unit-norm residuals, from seeded restarts, each step an inexact CG solve
+and unit-norm residuals, from one seeded start, each step an inexact CG solve
 (an inexact-Newton forcing term, Dembo, Eisenstat & Steihaug 1982).  Its
 per-vertex sums of edge residuals are one product with Z's vertex rows,
 stored in the order a per-edge ``np.add.at`` scatter visits them (so the
@@ -42,17 +42,15 @@ from .rng import normals, substream
 
 DEFAULT_TOL = 1e-8
 
-# Seeded restarts of the full-space phase after the reduced phase.
-RESTARTS = 5
-
-# LM iterations of each full-space start.  Near the rank-deficient solutions
-# of the harder planted cores the LM converges only linearly.  Over its
-# starts on the cores of gen_planted(n, m, s) for 8 shapes, n = 150-600 and
-# m/n = 0.5-0.8, s = 0-5 (and s = 6-11 at m/n = 0.7-0.8), every start that
-# converged within 400 iterations took at most 182, bar the core of
-# gen_planted(150, 112, 0), which takes about 300 and which the rank-8
-# reduced attempt solves.
-FULL_SPACE_ITERS = 200
+# LM iterations of the full-space start.  Near the rank-deficient solutions
+# of the harder planted cores the LM converges only linearly.  On the cores
+# of gen_planted(n, m, s) for 8 shapes, n = 150-600 and m/n = 0.5-0.8,
+# s = 0-5 (and s = 6-11 at m/n = 0.7-0.8), every core that converges takes
+# at most 182 iterations, bar gen_planted(150, 112, 0) at 300 and
+# gen_planted(300, 210, 4) at 734; the core of gen_planted(3000, 2250, 1)
+# takes 332.  A stall costs the same 1000 iterations that five starts of
+# 200 spent.
+FULL_SPACE_ITERS = 1000
 
 # Reduced-LM ranks on a q-dimensional null space: min(q, REDUCED_RANK), then
 # min(q, WIDE_RANK, MAX_DOF // q) if larger.  Each step solves a dense (q*r)^2
@@ -258,16 +256,8 @@ def _edge_incidence(E: np.ndarray, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix
     np.cumsum(np.bincount(rows, minlength=n + 1), out=indptr[1:])
     cols = np.tile(np.arange(m), 4)[order]
     Z = sp.csr_matrix((np.ones(4 * m), cols, indptr), shape=(n + 1, m))
-    # G[i, j] counts the edges whose quadruple (a, b, c, n) holds both i and
-    # j.  Each ordered pair of a quadruple is one key i*(n+1) + j; the sorted
-    # distinct keys are G's entries in row-major order.
-    quad = np.column_stack([E, np.full(m, n)])
-    keys, counts = np.unique((quad[:, :, None] * (n + 1) + quad[:, None, :]).ravel(),
-                             return_counts=True)
-    g_rows, g_cols = np.divmod(keys, n + 1)
-    g_indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(g_rows, minlength=n + 1), out=g_indptr[1:])
-    G = sp.csr_matrix((counts.astype(float), g_cols, g_indptr), shape=(n + 1, n + 1))
+    G = Z @ Z.T
+    G.sort_indices()
     return Z, G
 
 
@@ -349,7 +339,7 @@ def _edge_null_basis(G: sp.csr_matrix, seed: int = 0) -> np.ndarray:
     ``NULL_CUT * ||G||_inf``; L = [L11; L21] has rank r.  With N = n+1,
     the q = N - r columns of K = Pi [-L11^-T L21^T; I_q] span the null space.  A basis
     taken from K alone moves with rounding, and so with BLAS threading, so
-    the basis is orth(P S), with P the projector onto span K and S a
+    the basis is P orth(P S), with P the projector onto span K and S a
     Gaussian draw from a named substream of ``seed``.
     """
     Gd = G.toarray(order="F")
@@ -367,7 +357,9 @@ def _edge_null_basis(G: sp.csr_matrix, seed: int = 0) -> np.ndarray:
     U, _ = np.linalg.qr(K)
     S = normals(substream(seed, "sdp:null-rotation"), (N, N - r))
     B, _ = np.linalg.qr(U @ (U.T @ S))
-    return B
+    # The QR's R^-1 magnifies the rounding off span U by up to cond(U^T S);
+    # one more projection takes it back to the level of U's own.
+    return U @ (U.T @ B)
 
 
 def _reduced_lm(B: np.ndarray, Y: np.ndarray, tol: float, max_iters: int):
@@ -467,10 +459,10 @@ def solve_feasibility(
                     Y, it, ok = _reduced_lm(B, Y0, cfg.tol, 300)
                     yield B @ Y, it, ok
 
-        # Phase 2: full-space LM from seeded random starts.
-        for attempt in range(RESTARTS):
-            rng = substream(cfg.seed, f"sdp:init:{attempt}")
-            yield full_space_attempt(normals(rng, (H.n + 1, r)))
+        # Phase 2: full-space LM from one seeded start.
+        # "sdp:init:0" is the stream this phase has always drawn first: its solutions stay the same.
+        rng = substream(cfg.seed, "sdp:init:0")
+        yield full_space_attempt(normals(rng, (H.n + 1, r)))
 
     total_iters = 0
     # Residuals of the candidate with the smallest worst residual: the

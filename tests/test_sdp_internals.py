@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh, null_space
 from scipy.linalg.lapack import dpstrf
@@ -59,12 +59,14 @@ def _dense_incidence(H: Hypergraph) -> np.ndarray:
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["m<n+1", "m>=n+1"])
-@given(data=st.data())
+@given(H=st.booleans().flatmap(linear_hypergraphs), seed=st.integers(0, 2**32 - 1))
+# Here U^T S has condition number 1.2e4; the unprojected QR basis missed the
+# 1e-12 bound on Z^T B (1.22e-12).
+@example(H=Hypergraph(11, [(5, 7, 10)]), seed=39)
 @settings(max_examples=60, deadline=None)
-def test_edge_null_basis_matches_svd_reference(wide, data):
-    H = data.draw(linear_hypergraphs(wide))
+def test_edge_null_basis_matches_svd_reference(wide, H, seed):
+    assume((H.m >= H.n + 1) == wide)
     assert is_linear(H)
-    seed = data.draw(st.integers(0, 2**32 - 1))
     B = _edge_null_basis(_gram(H), seed)
     Z = _dense_incidence(H)
     ref = null_space(Z.T)
@@ -275,20 +277,6 @@ def test_polish_matrix_is_sorted_incidence_gram(inputs):
     assert np.array_equal(A.data, ref.data)
 
 
-@pytest.mark.parametrize("wide", [False, True], ids=["m<n+1", "m>=n+1"])
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_gram_matches_sorted_sparse_product(wide, data):
-    """G, counted from the edge array, is scipy's Z @ Z.T with sorted indices."""
-    H = data.draw(linear_hypergraphs(wide))
-    Z, G = sdp._edge_incidence(H.edge_array(), H.n)
-    ref = Z @ Z.T
-    ref.sort_indices()
-    assert np.array_equal(G.indptr, ref.indptr)
-    assert np.array_equal(G.indices, ref.indices)
-    assert np.array_equal(G.data, ref.data)
-
-
 @given(inputs=lm_inputs(), iters=st.integers(1, 8), tol=st.sampled_from([0.0, 1e-8]))
 @settings(max_examples=20, deadline=None)
 def test_lm_polish_matches_reference(inputs, iters, tol):
@@ -315,14 +303,17 @@ def _stalled_reduced_lm(calls):
     "H, cfg",
     [
         (gen_planted(30, 15, 4).H, SdpConfig(seed=0)),
-        # A core at m/n = 0.84; the first start converges in 69 iterations.
+        # A core at m/n = 0.84; the start converges in 69 iterations.
         (_planted_core(150, 112, 1), SdpConfig(seed=1)),
         # The seed lo_color uses for this input.  Convergence is linear near
-        # a low-rank solution, and the first start needs 102 iterations, above
+        # a low-rank solution, and the start needs 102 iterations, above
         # the 80 that each start ran after the removed penalty descent.
         (_planted_core(450, 360, 6), SdpConfig(seed=derive_seed(6, "sdp"))),
+        # Again lo_color's seed.  The start converges linearly and needs
+        # about 300 iterations, more than a cap of 200 per start allows.
+        (_planted_core(150, 112, 0), SdpConfig(seed=derive_seed(0, "sdp"))),
     ],
-    ids=["planted-30-15-4", "core-150-112-1", "core-450-360-6"],
+    ids=["planted-30-15-4", "core-150-112-1", "core-450-360-6", "core-150-112-0"],
 )
 def test_full_space_phase_solves_planted(monkeypatch, H, cfg):
     """With every reduced attempt stalled, phase 2 alone returns a feasible solution."""
