@@ -8,20 +8,20 @@ construction) and solve the remaining unit-norm system by Levenberg-Marquardt
 at a small factor rank, min(q, 3) for a q-dimensional null space.  Under the
 2-LO promise the hidden coloring is itself a rank-1 feasible point (top
 vertices at +v*, base vertices at -v*), so a rank-3 factor of the null space
-always contains one.  Where both rank-3 attempts stall, two more run at a
-wider rank, up to 8, where the Burer-Monteiro landscape is more benign
-(Boumal, Voroninski & Bandeira 2016).  Each solve builds the sparse
-(n+1) x m incidence Z and its Gram G = Z Z^T once.  The basis spans the null
-space of G, read off a rank-revealing pivoted Cholesky factor of the dense G
-(LAPACK ``dpstrf``) and turned to a seeded rotation so that it does not
-depend on rounding, which moves with BLAS threading; it is not built when
-n+1-m alone puts the reduced system above ``MAX_DOF``.  The only
-fallback is a full-space phase: Levenberg-Marquardt on the stacked edge-sum
-and unit-norm residuals, from one seeded start, each step an inexact CG solve
+always contains one.  Each solve builds the sparse (n+1) x m incidence Z and
+its Gram G = Z Z^T once.  The basis spans the null space of G, read off a
+rank-revealing pivoted Cholesky factor of the dense G (LAPACK ``dpstrf``) and
+turned to a seeded rotation so that it does not depend on rounding, which
+moves with BLAS threading; it is not built when n+1-m alone puts the reduced
+system above ``MAX_DOF``.  Where both rank-3 attempts stall, or the reduced
+phase is skipped, a full-space phase runs: Levenberg-Marquardt on the stacked
+edge-sum and unit-norm residuals, from one seeded start at the wider rank
+``rank_for(H)``, about sqrt(2m), where the Burer-Monteiro landscape is more
+benign (Boumal, Voroninski & Bandeira 2016), each step an inexact CG solve
 (an inexact-Newton forcing term, Dembo, Eisenstat & Steihaug 1982).  Its
 per-vertex sums of edge residuals are one product with Z's vertex rows,
-stored in the order a per-edge ``np.add.at`` scatter visits them (so the
-sums are bit-identical to it), and its Gauss-Newton matrix is G.
+stored in the order a per-edge ``np.add.at`` scatter visits them (so the sums
+are bit-identical to it), and its Gauss-Newton matrix is G.
 A stall is never reported as an infeasibility certificate; it carries the
 residuals of the best candidate (smallest worst-residual) as evidence.
 """
@@ -52,11 +52,10 @@ DEFAULT_TOL = 1e-8
 # 200 spent.
 FULL_SPACE_ITERS = 1000
 
-# Reduced-LM ranks on a q-dimensional null space: min(q, REDUCED_RANK), then
-# min(q, WIDE_RANK, MAX_DOF // q) if larger.  Each step solves a dense (q*r)^2
-# system; null spaces with q*r above MAX_DOF go to the full-space phase.
+# Reduced-LM rank on a q-dimensional null space: min(q, REDUCED_RANK).  Each
+# step solves a dense (q*r)^2 system; null spaces with q*r above MAX_DOF go
+# to the full-space phase.
 REDUCED_RANK = 3
-WIDE_RANK = 8
 MAX_DOF = 1200
 
 # The pivoted Cholesky factor of the edge Gram G stops at the first pivot (a
@@ -396,17 +395,12 @@ def _reduced_lm(B: np.ndarray, Y: np.ndarray, tol: float, max_iters: int):
     return Y, iters, False
 
 
-def solve_feasibility(
-    H: Hypergraph,
-    cfg: SdpConfig | None = None,
-    *,
-    warm: tuple[np.ndarray, np.ndarray] | None = None,
-) -> VectorSolution:
+def solve_feasibility(H: Hypergraph, cfg: SdpConfig | None = None) -> VectorSolution:
     """Find unit vectors meeting every edge-sum constraint within ``cfg.tol``.
 
-    ``warm`` is an optional (vstar, vecs) starting point, e.g. a planted
-    certificate; if it already meets tolerance it is returned with zero
-    iterations.  Raises :class:`SolverStalled` when every attempt plateaus.
+    Every solve makes the same attempts: at most two reduced-LM starts at
+    rank min(q, 3), when q * min(q, 3) <= ``MAX_DOF``, then one full-space
+    start.  Raises :class:`SolverStalled` when every attempt plateaus.
     """
     cfg = cfg or SdpConfig()
     if H.n == 0:
@@ -416,43 +410,20 @@ def solve_feasibility(
         vecs = np.ones((H.n, 1))
         return VectorSolution(vstar, vecs, 0.0, 0.0, tol=cfg.tol)
 
-    if warm is not None:
-        vstar = np.asarray(warm[0], dtype=float)
-        vecs = np.asarray(warm[1], dtype=float).reshape(H.n, -1)
-        nr, er = _residuals(H, vstar, vecs)
-        if nr <= cfg.tol and er <= cfg.tol:
-            return VectorSolution(vstar, vecs, nr, er, tol=cfg.tol, iters=0)
-
     E = H.edge_array()
     Z, G = _edge_incidence(E, H.n)
-    r = rank_for(H)
-
-    def full_space_attempt(X):
-        X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-        return _full_space_lm(X, E, Z, G, cfg.tol, FULL_SPACE_ITERS)
 
     def attempts():
         """Stacked candidates (X, iterations spent, converged), in the order tried."""
-        # A warm start is an explicit request to search near that point, so
-        # it runs before the blind phases.
-        if warm is not None:
-            wv = np.asarray(warm[1], dtype=float).reshape(H.n, -1)
-            X = np.zeros((H.n + 1, max(r, wv.shape[1])))
-            X[: H.n, : wv.shape[1]] = wv
-            X[H.n, : wv.shape[1]] = np.asarray(warm[0], dtype=float)
-            yield full_space_attempt(X)
-
         # Phase 1: exact edge-constraint elimination, unit norms by reduced LM.
         # q >= n+1-m, so when that bound alone puts the system above MAX_DOF
         # the basis is not built.
         if REDUCED_RANK * (H.n + 1 - H.m) <= MAX_DOF:
             B = _edge_null_basis(G, cfg.seed)
             q = B.shape[1]
-            rr = min(q, REDUCED_RANK)
-            # r2 > rr implies q * rr <= MAX_DOF; q >= 1, as (1, ..., 1, -3) is null.
-            r2 = min(q, WIDE_RANK, MAX_DOF // q)
-            ranks = (rr, r2) if r2 > rr else (rr,) if q * rr <= MAX_DOF else ()
-            for rank in ranks:
+            # q >= 1, as (1, ..., 1, -3) is null, so rank >= 1.
+            rank = min(q, REDUCED_RANK)
+            if q * rank <= MAX_DOF:
                 for attempt in range(2):
                     rng = substream(cfg.seed, f"sdp:reduced:{rank}:{attempt}")
                     Y0 = normals(rng, (q, rank)) / math.sqrt(rank)
@@ -462,7 +433,9 @@ def solve_feasibility(
         # Phase 2: full-space LM from one seeded start.
         # "sdp:init:0" is the stream this phase has always drawn first: its solutions stay the same.
         rng = substream(cfg.seed, "sdp:init:0")
-        yield full_space_attempt(normals(rng, (H.n + 1, r)))
+        X = normals(rng, (H.n + 1, rank_for(H)))
+        X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+        yield _full_space_lm(X, E, Z, G, cfg.tol, FULL_SPACE_ITERS)
 
     total_iters = 0
     # Residuals of the candidate with the smallest worst residual: the

@@ -145,20 +145,25 @@ def test_criterion_04_balanced_direction_bound():
         worst_exact = max(worst_exact, float(sq.max()))
         assert sq.max() <= 1e-10
 
-    # Solver outputs near the balanced manifold: warm start from a noisy
-    # certificate, then classify at eps = 1e-4 and check the quadratic bound.
+    # Solver outputs near the balanced manifold: the solver's full-space LM
+    # started from a noisy certificate, zero-padded to the phase's rank,
+    # then classify at eps = 1e-4 and check the quadratic bound.
     eps = 1e-4
     worst_ratio = 0.0
     balanced_edges = 0
     for seed in (4, 5, 6):
         inst, cert = lc.gen_balanced_tripartite(30, 25, seed)
+        H = inst.H
         noise = lrng.normals(lrng.substream(seed, "accept4"), cert.vecs.shape)
         # Noise small enough that the converged gammas stay 1e-4-balanced.
-        warm_vecs = cert.vecs + 1e-5 * noise
-        warm_vecs /= np.linalg.norm(warm_vecs, axis=1, keepdims=True)
-        sol = lc.solve_feasibility(
-            inst.H, lc.SdpConfig(seed=seed, tol=1e-10), warm=(cert.vstar, warm_vecs)
-        )
+        X = np.zeros((H.n + 1, lc.sdp.rank_for(H)))
+        X[: H.n, : cert.d] = cert.vecs + 1e-5 * noise
+        X[H.n, : cert.d] = cert.vstar
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        E = H.edge_array()
+        Z, G = lc.sdp._edge_incidence(E, H.n)
+        X, iters, _ = lc.sdp._full_space_lm(X, E, Z, G, 1e-10, lc.sdp.FULL_SPACE_ITERS)
+        sol = lc.VectorSolution.from_vectors(H, X[H.n], X[: H.n], tol=1e-10, iters=iters)
         assert sol.edge_residual <= 1e-10
         profile = lc.gamma_profile(sol, eps)
         op = lc.ortho_profile(sol)

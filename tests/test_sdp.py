@@ -61,12 +61,6 @@ class TestConfig:
 
 
 class TestSolver:
-    def test_warm_start_returns_immediately(self, planted30):
-        cert = plant_rank1_certificate(planted30)
-        sol = solve_feasibility(planted30.H, warm=(cert.vstar, cert.vecs))
-        assert sol.iters == 0
-        assert sol.norm_residual == 0.0 and sol.edge_residual == 0.0
-
     def test_cold_start_meets_tolerance(self, solved30):
         assert solved30.norm_residual <= 1e-6
         assert solved30.edge_residual <= 1e-6

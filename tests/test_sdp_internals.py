@@ -1,6 +1,6 @@
 """Solver internals: the edge Gram, the null-space basis from its pivoted
 Cholesky factor and the cut on that factor's pivots, the skip of an unused
-basis, the reduced LM step and its two ranks, and the full-space LM: its
+basis, the reduced LM step and its one rank, and the full-space LM: its
 sparse edge scatter, its Gauss-Newton matrix, its inexact CG steps against
 a reference, and the phase alone on planted cores."""
 
@@ -324,35 +324,39 @@ def test_full_space_phase_solves_planted(monkeypatch, H, cfg):
     assert nr <= cfg.tol and er <= cfg.tol
 
 
-def test_reduced_phase_tries_rank_three_then_eight_twice(monkeypatch):
-    """On a null space of dimension q >= 8 phase 1 makes two attempts at rank
-    3, then two at rank 8, before the full-space phase takes over."""
+def test_reduced_phase_tries_rank_three_twice(monkeypatch):
+    """Phase 1 makes two attempts at rank 3, and when both stall the
+    full-space phase takes over and returns a feasible solution."""
     H = gen_planted(40, 20, 2).H
     q = _edge_null_basis(_gram(H), 0).shape[1]
-    assert q >= 8 and q * sdp.WIDE_RANK <= sdp.MAX_DOF
+    assert q >= 3 and q * sdp.REDUCED_RANK <= sdp.MAX_DOF
     calls = []
     monkeypatch.setattr(sdp, "_reduced_lm", _stalled_reduced_lm(calls))
     cfg = SdpConfig(seed=0)
     sol = solve_feasibility(H, cfg)
-    assert calls == [(q, 3), (q, 3), (q, 8), (q, 8)]
+    assert calls == [(q, 3), (q, 3)]
     nr, er = residual(H, sol)
     assert nr <= cfg.tol and er <= cfg.tol
 
 
-def test_wide_rank_solves_core_where_rank_three_stalls(monkeypatch):
+def test_full_space_solves_core_where_rank_three_stalls(monkeypatch):
     """On the core of gen_planted(300, 210, 0), as lo_color solves it with
-    pipeline seed 0, both rank-3 attempts stall and the first rank-8 attempt
-    converges, so the full-space phase never runs."""
+    pipeline seed 0, both rank-3 attempts stall and the full-space phase
+    converges (in 21 iterations)."""
     H = _planted_core(300, 210, 0)
     calls = []
-    reduced_lm = sdp._reduced_lm
+    reduced_lm, full_space_lm = sdp._reduced_lm, sdp._full_space_lm
 
-    def recording(B, Y, tol, max_iters):
-        out = reduced_lm(B, Y, tol, max_iters)
-        calls.append((Y.shape[1], out[2]))
-        return out
+    def recording(lm):
+        def run(*args):
+            out = lm(*args)
+            calls.append((out[0].shape[1], out[2]))
+            return out
 
-    monkeypatch.setattr(sdp, "_reduced_lm", recording)
+        return run
+
+    monkeypatch.setattr(sdp, "_reduced_lm", recording(reduced_lm))
+    monkeypatch.setattr(sdp, "_full_space_lm", recording(full_space_lm))
     sol = solve_feasibility(H, SdpConfig(seed=derive_seed(0, "sdp")))
-    assert calls == [(3, False), (3, False), (8, True)]
+    assert calls == [(3, False), (3, False), (sdp.rank_for(H), True)]
     assert max(residual(H, sol)) <= sol.tol
