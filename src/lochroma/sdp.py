@@ -8,20 +8,21 @@ construction) and solve the remaining unit-norm system by Levenberg-Marquardt
 at a small factor rank, min(q, 3) for a q-dimensional null space.  Under the
 2-LO promise the hidden coloring is itself a rank-1 feasible point (top
 vertices at +v*, base vertices at -v*), so a rank-3 factor of the null space
-always contains one.  Each solve builds the sparse (n+1) x m incidence Z and
-its Gram G = Z Z^T once.  The basis spans the null space of G, read off a
-rank-revealing pivoted Cholesky factor of the dense G (LAPACK ``dpstrf``) and
-turned to a seeded rotation so that it does not depend on rounding, which
-moves with BLAS threading; it is not built when n+1-m alone puts the reduced
-system above ``MAX_DOF``.  Where both rank-3 attempts stall, or the reduced
-phase is skipped, a full-space phase runs: Levenberg-Marquardt on the stacked
-edge-sum and unit-norm residuals, from one seeded start at the wider rank
-``rank_for(H)``, about sqrt(2m), where the Burer-Monteiro landscape is more
-benign (Boumal, Voroninski & Bandeira 2016), each step an inexact CG solve
-(an inexact-Newton forcing term, Dembo, Eisenstat & Steihaug 1982).  Its
-per-vertex sums of edge residuals are one product with Z's vertex rows,
-stored in the order a per-edge ``np.add.at`` scatter visits them (so the sums
-are bit-identical to it), and its Gauss-Newton matrix is G.
+always contains one.  Each solve builds the (n+1) x (n+1) Gram G = Z Z^T of
+the edge incidence Z once.  The basis spans the null space of G, read off a
+rank-revealing pivoted Cholesky factor of the dense G (LAPACK ``dpstrf``);
+it is not built when n+1-m alone puts the reduced system above ``MAX_DOF``.
+Each reduced start is drawn in the ambient space and projected onto the
+basis, and the reduced LM step commutes with any rotation of the basis, so
+the solutions depend only on the null space, not on the basis rounding (and
+BLAS threading) picks for it.  Where both rank-3 attempts stall, or the
+reduced phase is skipped, a full-space phase runs: Levenberg-Marquardt on
+the stacked edge-sum and unit-norm residuals, from one seeded start at the
+wider rank ``rank_for(H)``, about sqrt(2m), where the Burer-Monteiro
+landscape is more benign (Boumal, Voroninski & Bandeira 2016), each step an
+inexact CG solve (an inexact-Newton forcing term, Dembo, Eisenstat &
+Steihaug 1982).  G is its Gauss-Newton matrix, and G times the factor is the
+edge part of its gradient.
 A stall is never reported as an infeasibility certificate; it carries the
 residuals of the best candidate (smallest worst-residual) as evidence.
 """
@@ -88,7 +89,7 @@ class SdpConfig:
 
     ``tol`` bounds both the worst |norm^2 - 1| and the worst per-edge sum norm
     of an accepted solution.  ``seed`` roots every random draw of the solve:
-    the basis rotation and each attempt's start.
+    each attempt's start.
     """
 
     tol: float = DEFAULT_TOL
@@ -236,50 +237,40 @@ def residual(H: Hypergraph, sol: VectorSolution) -> tuple[float, float]:
     return _residuals(H, sol.vstar, sol.vecs)
 
 
-def _edge_incidence(E: np.ndarray, n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The (n+1) x m edge incidence Z and its Gram G = Z Z^T.
+def _edge_gram(E: np.ndarray, n: int) -> sp.csr_matrix:
+    """The Gram G = Z Z^T of the (n+1) x m edge incidence Z.
 
-    Column e of Z has ones at rows a, b, c and n.  Each vertex row stores
-    its columns in the order ``np.add.at`` visits them when scattering over
-    ``E[:, 0]``, ``E[:, 1]``, ``E[:, 2]`` in turn: the edges where the vertex
-    sits at position 0, then 1, then 2, each group in edge order (a stable
-    argsort of ``E.T.ravel()``).  Row n lists every edge in order.  These
-    indices are left in that order on purpose; sorting them would change the
-    order in which ``Z @ T`` adds each row's terms.  G's indices are sorted,
+    Column e of Z has ones at rows a, b, c and n.  G's indices are sorted,
     as the full-space LM's CG matvec sums in stored order.
     """
     m = len(E)
     rows = np.concatenate([E.T.ravel(), np.full(m, n)])
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n + 1), out=indptr[1:])
-    cols = np.tile(np.arange(m), 4)[order]
-    Z = sp.csr_matrix((np.ones(4 * m), cols, indptr), shape=(n + 1, m))
+    cols = np.tile(np.arange(m), 4)
+    Z = sp.csr_matrix((np.ones(4 * m), (rows, cols)), shape=(n + 1, m))
     G = Z @ Z.T
     G.sort_indices()
-    return Z, G
+    return G
 
 
-def _full_space_lm(X, E, Z, G, tol, max_iters):
+def _full_space_lm(X, E, G, tol, max_iters):
     """Levenberg-Marquardt on stacked edge-sum and unit-norm residuals.
 
-    The Gauss-Newton matrix of the edge part is the Gram G = Z Z^T; J^T F's
-    edge part is the scatter ``Z[:n] @ T`` plus the special row's
-    ``T.sum(axis=0)``.  Each step is solved by CG only to the relative
-    residual min(0.1, val), with val the current sum of squared residuals:
-    an inexact-Newton forcing term (Dembo, Eisenstat & Steihaug 1982;
-    Eisenstat & Walker 1996).  Far from a solution a loose step is as good
-    as an exact one and costs a few matvecs, so the method needs no
-    first-order phase to reach its basin; as val falls the steps tighten
-    and convergence turns superlinear, except near the rank-deficient
-    solutions of some cores, where it is linear and each CG solve stops at
-    ``maxiter`` (see ``FULL_SPACE_ITERS``).  The forcing term tracks val,
-    not its square root, which took more iterations on each of three planted
-    cores measured (80 against 69 on the core of gen_planted(150, 112, 1)).
+    The edge residuals are T = Z^T X, so the Gauss-Newton matrix of the edge
+    part is the Gram G = Z Z^T and J^T F's edge part is Z T = G X.  Each
+    step is solved by CG only to the relative residual min(0.1, val), with
+    val the current sum of squared residuals: an inexact-Newton forcing
+    term (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996).  Far
+    from a solution a loose step is as good as an exact one and costs a few
+    matvecs, so the method needs no first-order phase to reach its basin;
+    as val falls the steps tighten and convergence turns superlinear,
+    except near the rank-deficient solutions of some cores, where it is
+    linear and each CG solve stops at ``maxiter`` (see
+    ``FULL_SPACE_ITERS``).  The forcing term tracks val, not its square
+    root, which took more iterations on each of three planted cores
+    measured (80 against 69 on the core of gen_planted(150, 112, 1)).
     """
     n1, r = X.shape
     n = n1 - 1
-    S = Z[:n]
 
     def residual_parts(Y):
         T = Y[E[:, 0]] + Y[E[:, 1]] + Y[E[:, 2]] + Y[n] if len(E) else np.zeros((0, r))
@@ -298,10 +289,7 @@ def _full_space_lm(X, E, Z, G, tol, max_iters):
         norm_res = float(np.abs(g).max())
         if edge_res <= tol and norm_res <= tol:
             return X, iters - 1, True
-        JtF = np.empty_like(X)
-        JtF[:n] = S @ T
-        JtF[n] = T.sum(axis=0)
-        JtF += 2.0 * g[:, None] * X
+        JtF = G @ X + 2.0 * g[:, None] * X
         Xc = X
 
         def matvec(dvec):
@@ -325,7 +313,7 @@ def _full_space_lm(X, E, Z, G, tol, max_iters):
     return X, iters, False
 
 
-def _edge_null_basis(G: sp.csr_matrix, seed: int = 0) -> np.ndarray:
+def _edge_null_basis(G: sp.csr_matrix) -> np.ndarray:
     """Orthonormal basis of the space orthogonal to every edge indicator.
 
     Any stacked factor built from these columns satisfies all edge-sum
@@ -336,10 +324,10 @@ def _edge_null_basis(G: sp.csr_matrix, seed: int = 0) -> np.ndarray:
     semidefinite, and LAPACK's pivoted Cholesky (``dpstrf``) factors it as
     Pi^T G Pi = L L^T, stopping once every pivot left is at most
     ``NULL_CUT * ||G||_inf``; L = [L11; L21] has rank r.  With N = n+1,
-    the q = N - r columns of K = Pi [-L11^-T L21^T; I_q] span the null space.  A basis
-    taken from K alone moves with rounding, and so with BLAS threading, so
-    the basis is P orth(P S), with P the projector onto span K and S a
-    Gaussian draw from a named substream of ``seed``.
+    the q = N - r columns of K = Pi [-L11^-T L21^T; I_q] span the null space,
+    and the basis is the Q factor of K.  Which basis of that space comes
+    out moves with rounding, and so with BLAS threading; the solver's
+    outputs depend only on the space.
     """
     Gd = G.toarray(order="F")
     N = Gd.shape[0]
@@ -353,12 +341,8 @@ def _edge_null_basis(G: sp.csr_matrix, seed: int = 0) -> np.ndarray:
     K = np.empty((N, N - r))
     K[piv[:r] - 1] = -solve_triangular(L[:r, :r], L[r:, :r].T, trans="T", lower=True)
     K[piv[r:] - 1] = np.eye(N - r)
-    U, _ = np.linalg.qr(K)
-    S = normals(substream(seed, "sdp:null-rotation"), (N, N - r))
-    B, _ = np.linalg.qr(U @ (U.T @ S))
-    # The QR's R^-1 magnifies the rounding off span U by up to cond(U^T S);
-    # one more projection takes it back to the level of U's own.
-    return U @ (U.T @ B)
+    B, _ = np.linalg.qr(K)
+    return B
 
 
 def _reduced_lm(B: np.ndarray, Y: np.ndarray, tol: float, max_iters: int):
@@ -390,8 +374,6 @@ def _reduced_lm(B: np.ndarray, Y: np.ndarray, tol: float, max_iters: int):
             lam = max(lam * 0.3, 1e-14)
         else:
             lam *= 10.0
-            if lam > 1e10:
-                break
     return Y, iters, False
 
 
@@ -411,7 +393,7 @@ def solve_feasibility(H: Hypergraph, cfg: SdpConfig | None = None) -> VectorSolu
         return VectorSolution(vstar, vecs, 0.0, 0.0, tol=cfg.tol)
 
     E = H.edge_array()
-    Z, G = _edge_incidence(E, H.n)
+    G = _edge_gram(E, H.n)
 
     def attempts():
         """Stacked candidates (X, iterations spent, converged), in the order tried."""
@@ -419,14 +401,16 @@ def solve_feasibility(H: Hypergraph, cfg: SdpConfig | None = None) -> VectorSolu
         # q >= n+1-m, so when that bound alone puts the system above MAX_DOF
         # the basis is not built.
         if REDUCED_RANK * (H.n + 1 - H.m) <= MAX_DOF:
-            B = _edge_null_basis(G, cfg.seed)
+            B = _edge_null_basis(G)
             q = B.shape[1]
             # q >= 1, as (1, ..., 1, -3) is null, so rank >= 1.
             rank = min(q, REDUCED_RANK)
             if q * rank <= MAX_DOF:
                 for attempt in range(2):
+                    # Drawn in the ambient space: B @ Y0 is the projection of
+                    # one draw onto span B, whichever basis B holds.
                     rng = substream(cfg.seed, f"sdp:reduced:{rank}:{attempt}")
-                    Y0 = normals(rng, (q, rank)) / math.sqrt(rank)
+                    Y0 = B.T @ normals(rng, (H.n + 1, rank)) / math.sqrt(rank)
                     Y, it, ok = _reduced_lm(B, Y0, cfg.tol, 300)
                     yield B @ Y, it, ok
 
@@ -435,7 +419,7 @@ def solve_feasibility(H: Hypergraph, cfg: SdpConfig | None = None) -> VectorSolu
         rng = substream(cfg.seed, "sdp:init:0")
         X = normals(rng, (H.n + 1, rank_for(H)))
         X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-        yield _full_space_lm(X, E, Z, G, cfg.tol, FULL_SPACE_ITERS)
+        yield _full_space_lm(X, E, G, cfg.tol, FULL_SPACE_ITERS)
 
     total_iters = 0
     # Residuals of the candidate with the smallest worst residual: the

@@ -161,8 +161,8 @@ def test_criterion_04_balanced_direction_bound():
         X[H.n, : cert.d] = cert.vstar
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         E = H.edge_array()
-        Z, G = lc.sdp._edge_incidence(E, H.n)
-        X, iters, _ = lc.sdp._full_space_lm(X, E, Z, G, 1e-10, lc.sdp.FULL_SPACE_ITERS)
+        G = lc.sdp._edge_gram(E, H.n)
+        X, iters, _ = lc.sdp._full_space_lm(X, E, G, 1e-10, lc.sdp.FULL_SPACE_ITERS)
         sol = lc.VectorSolution.from_vectors(H, X[H.n], X[: H.n], tol=1e-10, iters=iters)
         assert sol.edge_residual <= 1e-10
         profile = lc.gamma_profile(sol, eps)
