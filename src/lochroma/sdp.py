@@ -1,28 +1,31 @@
 """Feasibility vector program: per edge the three vertex vectors plus one
 special vector sum to zero, and all vectors have unit norm.
 
-The edge constraints are linear in the stacked factor, so the primary method
-eliminates them exactly: restrict the factor to the null space of the edge
-indicator vectors (edge sums then vanish to machine precision by
-construction) and solve the remaining unit-norm system by Levenberg-Marquardt
-at a small factor rank, min(q, 3) for a q-dimensional null space.  Under the
-2-LO promise the hidden coloring is itself a rank-1 feasible point (top
-vertices at +v*, base vertices at -v*), so a rank-3 factor of the null space
-always contains one.  Each solve builds the (n+1) x (n+1) Gram G = Z Z^T of
-the edge incidence Z once.  The basis spans the null space of G, read off a
-rank-revealing pivoted Cholesky factor of the dense G (LAPACK ``dpstrf``);
-it is not built when n+1-m alone puts the reduced system above ``MAX_DOF``.
-Each reduced start is drawn in the ambient space and projected onto the
-basis, and the reduced LM step commutes with any rotation of the basis, so
-the solutions depend only on the null space, not on the basis rounding (and
-BLAS threading) picks for it.  Where both rank-3 attempts stall, or the
-reduced phase is skipped, a full-space phase runs: Levenberg-Marquardt on
-the stacked edge-sum and unit-norm residuals, from one seeded start at the
-wider rank ``rank_for(H)``, about sqrt(2m), where the Burer-Monteiro
-landscape is more benign (Boumal, Voroninski & Bandeira 2016), each step an
-inexact CG solve (an inexact-Newton forcing term, Dembo, Eisenstat &
-Steihaug 1982).  G is its Gauss-Newton matrix, and G times the factor is the
-edge part of its gradient.
+Both solver phases run one Levenberg-Marquardt loop, ``_lm``: one damping
+rule, and one stop rule, so an attempt that does not reach the tolerance
+runs to the end of its iteration budget.  The phases differ only in their
+residuals and in how a step is solved.  The edge constraints are linear in
+the stacked factor, so the reduced phase eliminates them exactly: restrict
+the factor to the null space of the edge indicator vectors (edge sums then
+vanish to machine precision by construction) and solve the remaining
+unit-norm system at a small factor rank, min(q, 3) for a q-dimensional null
+space, each step a dense solve.  Under the 2-LO promise the hidden coloring
+is itself a rank-1 feasible point (top vertices at +v*, base vertices at
+-v*), so a rank-3 factor of the null space always contains one.  Each solve
+builds the (n+1) x (n+1) Gram G = Z Z^T of the edge incidence Z once.  The
+basis spans the null space of G, read off a rank-revealing pivoted Cholesky
+factor of the dense G (LAPACK ``dpstrf``); it is not built when n+1-m alone
+puts the reduced system above ``MAX_DOF``.  Each reduced start is drawn in
+the ambient space and projected onto the basis, and the reduced LM step
+commutes with any rotation of the basis, so the solutions depend only on the
+null space, not on the basis rounding (and BLAS threading) picks for it.
+Where both rank-3 attempts stall, or the reduced phase is skipped, a
+full-space phase runs on the stacked edge-sum and unit-norm residuals, from
+one seeded start at the wider rank ``rank_for(H)``, about sqrt(2m), where
+the Burer-Monteiro landscape is more benign (Boumal, Voroninski & Bandeira
+2016), each step an inexact CG solve (an inexact-Newton forcing term, Dembo,
+Eisenstat & Steihaug 1982).  G is its Gauss-Newton matrix, and G times the
+factor is the edge part of its gradient.
 A stall is never reported as an infeasibility certificate; it carries the
 residuals of the best candidate (smallest worst-residual) as evidence.
 """
@@ -43,14 +46,11 @@ from .rng import normals, substream
 
 DEFAULT_TOL = 1e-8
 
-# LM iterations of the full-space start.  Near the rank-deficient solutions
-# of the harder planted cores the LM converges only linearly.  On the cores
-# of gen_planted(n, m, s) for 8 shapes, n = 150-600 and m/n = 0.5-0.8,
-# s = 0-5 (and s = 6-11 at m/n = 0.7-0.8), every core that converges takes
-# at most 182 iterations, bar gen_planted(150, 112, 0) at 300 and
-# gen_planted(300, 210, 4) at 734; the core of gen_planted(3000, 2250, 1)
-# takes 332.  A stall costs the same 1000 iterations that five starts of
-# 200 spent.
+# LM iterations of the full-space start; near the rank-deficient solutions of
+# the harder planted cores it converges only linearly.  Alone on the cores of
+# gen_planted(n, m, s) at 8 shapes (n = 150-600, m/n = 0.5-0.8, s = 0-5, and
+# s = 6-11 at m/n = 0.7-0.8) it solves 56 of 60, within 188 iterations bar
+# (150, 112, 0) at 299 and (300, 210, 4) at 730; (3000, 2250, 1) stalls.
 FULL_SPACE_ITERS = 1000
 
 # Reduced-LM rank on a q-dimensional null space: min(q, REDUCED_RANK).  Each
@@ -71,7 +71,7 @@ THIRD = 1.0 / 3.0
 
 
 class SolverStalled(RuntimeError):
-    """Residuals plateaued above tolerance; likely infeasible or under-iterated."""
+    """No attempt reached tolerance within its budget; likely infeasible or under-iterated."""
 
     def __init__(self, message: str, norm_residual: float, edge_residual: float, iters: int):
         super().__init__(
@@ -252,8 +252,36 @@ def _edge_gram(E: np.ndarray, n: int) -> sp.csr_matrix:
     return G
 
 
+def _lm(P, residuals, step, tol, max_iters):
+    """Levenberg-Marquardt from ``P``: the one loop of both solver phases.
+
+    ``residuals(P)`` gives (F, val, worst): what ``step(P, F, val, lam)``
+    takes, the sum of squared residuals and the largest residual.  lam starts
+    at 1e-3 and scales by 0.3 (floor 1e-14) after a step that lowers val, by
+    10 (cap 1e9) after any other; the loop stops only at worst <= tol or
+    after ``max_iters`` steps.  Returns (P, steps, converged).
+    """
+    lam = 1e-3
+    F, val, worst = residuals(P)
+    iters = 0
+    while worst > tol and iters < max_iters:
+        iters += 1
+        try:
+            trial = P + step(P, F, val, lam)
+        except np.linalg.LinAlgError:
+            vt = math.inf  # a step that cannot be solved is rejected
+        else:
+            Ft, vt, wt = residuals(trial)
+        if vt < val:
+            P, F, val, worst = trial, Ft, vt, wt
+            lam = max(lam * 0.3, 1e-14)
+        else:
+            lam = min(lam * 10.0, 1e9)
+    return P, iters, worst <= tol
+
+
 def _full_space_lm(X, E, G, tol, max_iters):
-    """Levenberg-Marquardt on stacked edge-sum and unit-norm residuals.
+    """Levenberg-Marquardt (``_lm``) on stacked edge-sum and unit-norm residuals.
 
     The edge residuals are T = Z^T X, so the Gauss-Newton matrix of the edge
     part is the Gram G = Z Z^T and J^T F's edge part is Z T = G X.  Each
@@ -272,45 +300,27 @@ def _full_space_lm(X, E, G, tol, max_iters):
     n1, r = X.shape
     n = n1 - 1
 
-    def residual_parts(Y):
-        T = Y[E[:, 0]] + Y[E[:, 1]] + Y[E[:, 2]] + Y[n] if len(E) else np.zeros((0, r))
+    def residuals(Y):
+        T = Y[E[:, 0]] + Y[E[:, 1]] + Y[E[:, 2]] + Y[n]
         g = (Y * Y).sum(axis=1) - 1.0
-        return T, g
+        # initial=0.0: E may hold no edges.
+        worst = max(np.linalg.norm(T, axis=1).max(initial=0.0), np.abs(g).max())
+        return g, float((T * T).sum() + (g * g).sum()), float(worst)
 
-    def value(T, g):
-        return float((T * T).sum() + (g * g).sum())
-
-    lam = 1e-4
-    T, g = residual_parts(X)
-    val = value(T, g)
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        edge_res = float(np.linalg.norm(T, axis=1).max()) if len(E) else 0.0
-        norm_res = float(np.abs(g).max())
-        if edge_res <= tol and norm_res <= tol:
-            return X, iters - 1, True
-        JtF = G @ X + 2.0 * g[:, None] * X
-        Xc = X
+    def step(Y, g, val, lam):
+        JtF = G @ Y + 2.0 * g[:, None] * Y
 
         def matvec(dvec):
             D = dvec.reshape(n1, r)
             out = G @ D
-            out = out + 4.0 * ((Xc * D).sum(axis=1))[:, None] * Xc
+            out = out + 4.0 * ((Y * D).sum(axis=1))[:, None] * Y
             return (out + lam * D).ravel()
 
         op = LinearOperator((n1 * r, n1 * r), matvec=matvec)
         delta, _ = cg(op, -JtF.ravel(), rtol=min(0.1, val), atol=0.0, maxiter=500)
-        trial = X + delta.reshape(n1, r)
-        Tt, gt = residual_parts(trial)
-        tv = value(Tt, gt)
-        if tv < val:
-            X, T, g, val = trial, Tt, gt, tv
-            lam = max(lam * 0.3, 1e-13)
-        else:
-            lam *= 10.0
-            if lam > 1e9:
-                break
-    return X, iters, False
+        return delta.reshape(n1, r)
+
+    return _lm(X, residuals, step, tol, max_iters)
 
 
 def _edge_null_basis(G: sp.csr_matrix) -> np.ndarray:
@@ -346,35 +356,23 @@ def _edge_null_basis(G: sp.csr_matrix) -> np.ndarray:
 
 
 def _reduced_lm(B: np.ndarray, Y: np.ndarray, tol: float, max_iters: int):
-    """Levenberg-Marquardt on the unit-norm residuals of rows of B @ Y."""
+    """Levenberg-Marquardt (``_lm``) on the unit-norm residuals of rows of B @ Y."""
     N, q = B.shape
     r = Y.shape[1]
-    lam = 1e-3
-    R = B @ Y
-    f = (R * R).sum(axis=1) - 1.0
-    val = float(f @ f)
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        if np.abs(f).max() <= tol:
-            return Y, iters - 1, True
+
+    def residuals(Y):
+        R = B @ Y
+        f = (R * R).sum(axis=1) - 1.0
+        return (R, f), float(f @ f), float(np.abs(f).max())
+
+    def step(Y, F, val, lam):
+        R, f = F
         JtF = 2.0 * (B.T @ (f[:, None] * R))
         J = (B[:, :, None] * R[:, None, :]).reshape(N, q * r)
         M = 4.0 * (J.T @ J)
-        try:
-            step = np.linalg.solve(M + lam * np.eye(q * r), -JtF.ravel())
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        trial = Y + step.reshape(q, r)
-        Rt = B @ trial
-        ft = (Rt * Rt).sum(axis=1) - 1.0
-        vt = float(ft @ ft)
-        if vt < val:
-            Y, R, f, val = trial, Rt, ft, vt
-            lam = max(lam * 0.3, 1e-14)
-        else:
-            lam *= 10.0
-    return Y, iters, False
+        return np.linalg.solve(M + lam * np.eye(q * r), -JtF.ravel()).reshape(q, r)
+
+    return _lm(Y, residuals, step, tol, max_iters)
 
 
 def solve_feasibility(H: Hypergraph, cfg: SdpConfig | None = None) -> VectorSolution:
@@ -382,7 +380,8 @@ def solve_feasibility(H: Hypergraph, cfg: SdpConfig | None = None) -> VectorSolu
 
     Every solve makes the same attempts: at most two reduced-LM starts at
     rank min(q, 3), when q * min(q, 3) <= ``MAX_DOF``, then one full-space
-    start.  Raises :class:`SolverStalled` when every attempt plateaus.
+    start.  Raises :class:`SolverStalled` when no attempt reaches ``tol``
+    within its budget.
     """
     cfg = cfg or SdpConfig()
     if H.n == 0:

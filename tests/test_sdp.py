@@ -17,6 +17,7 @@ from lochroma import (
     residual,
     solve_feasibility,
 )
+from lochroma import sdp
 from lochroma.sdp import rank_for
 
 THIRD = 1.0 / 3.0
@@ -72,6 +73,10 @@ class TestSolver:
         with pytest.raises(SolverStalled) as exc:
             solve_feasibility(k4_triples, SdpConfig(seed=seed))
         assert exc.value.edge_residual >= 0.1
+        # A stall spends the whole budget of each attempt: two reduced
+        # attempts of 300 iterations, then the full-space one.  As warnings
+        # are errors here, this also shows the damping never overflows.
+        assert exc.value.iters == 2 * 300 + sdp.FULL_SPACE_ITERS
 
     def test_deterministic(self, planted30):
         a = solve_feasibility(planted30.H, SdpConfig(seed=3))

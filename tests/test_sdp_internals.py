@@ -177,6 +177,26 @@ def test_reduced_lm_step_matches_einsum_hessian():
     assert not np.array_equal(Y1, Y0)
 
 
+def test_lm_takes_a_failed_step_solve_as_a_rejected_step():
+    """A step whose solve raises LinAlgError spends an iteration and raises
+    the damping tenfold, and the loop goes on."""
+    lams = []
+
+    def residuals(x):
+        return None, float(x @ x), float(np.abs(x).max())
+
+    def step(x, F, val, lam):
+        lams.append(lam)
+        if len(lams) <= 2:
+            raise np.linalg.LinAlgError("singular matrix")
+        return -x / (1.0 + lam)
+
+    x, iters, ok = sdp._lm(np.array([2.0]), residuals, step, tol=0.0, max_iters=3)
+    assert lams == [1e-3, 1e-2, 1e-1]
+    assert (iters, ok) == (3, False)
+    assert x[0] == 2.0 - 2.0 / 1.1
+
+
 def _polish_matrix_reference(E, n):
     """The per-edge quadruple loop that built _full_space_lm's Gauss-Newton matrix."""
     rows, cols = [], []
@@ -190,7 +210,8 @@ def _polish_matrix_reference(E, n):
 
 
 def _full_space_lm_reference(X, E, tol, max_iters):
-    """_full_space_lm with the quadruple-loop matrix A."""
+    """_full_space_lm with the quadruple-loop matrix A, and the damping and
+    stop rules of the shared LM loop written out."""
     n1, r = X.shape
     n = n1 - 1
     A = _polish_matrix_reference(E, n)
@@ -202,14 +223,16 @@ def _full_space_lm_reference(X, E, tol, max_iters):
     def value(T, g):
         return float((T * T).sum() + (g * g).sum())
 
-    lam = 1e-4
+    def converged(T, g):
+        edge_res = float(np.linalg.norm(T, axis=1).max()) if len(E) else 0.0
+        return edge_res <= tol and float(np.abs(g).max()) <= tol
+
+    lam = 1e-3
     T, g = residual_parts(X)
     val = value(T, g)
     iters = 0
-    for iters in range(1, max_iters + 1):
-        edge_res = float(np.linalg.norm(T, axis=1).max()) if len(E) else 0.0
-        if edge_res <= tol and float(np.abs(g).max()) <= tol:
-            return X, iters - 1, True
+    while iters < max_iters and not converged(T, g):
+        iters += 1
         JtF = A @ X + 2.0 * g[:, None] * X
         Xc = X
 
@@ -226,12 +249,10 @@ def _full_space_lm_reference(X, E, tol, max_iters):
         tv = value(Tt, gt)
         if tv < val:
             X, T, g, val = trial, Tt, gt, tv
-            lam = max(lam * 0.3, 1e-13)
+            lam = max(lam * 0.3, 1e-14)
         else:
-            lam *= 10.0
-            if lam > 1e9:
-                break
-    return X, iters, False
+            lam = min(lam * 10.0, 1e9)
+    return X, iters, converged(T, g)
 
 
 @st.composite
