@@ -50,7 +50,7 @@ H2 = Hypergraph(5, [(0, 1, 2), (0, 1, 3), (1, 2, 4)])
 print("linear before:", is_linear(H2))
 H2lin, merge = make_linear(H2)
 print("linear after:", is_linear(H2lin), " edges:", H2lin.edges)
-print("representatives:", [merge(v) for v in range(5)])
+print("representatives:", merge)
 
 coloring_small = RankedColoring({0: 2, 1: 1, 2: 1, 3: 1, 4: 1})
 lifted = lift_coloring(merge, coloring_small)

@@ -33,7 +33,6 @@ from .gaussround import (
 from .hypercore import (
     DegreeStats,
     Hypergraph,
-    MergeMap,
     NotTwoLOColorable,
     RankedColoring,
     check_even_is,
@@ -87,7 +86,6 @@ __all__ = [
     "GenerationError",
     "Hypergraph",
     "IntervalSchedule",
-    "MergeMap",
     "NotTwoLOColorable",
     "OrthoProfile",
     "PipelineConfig",

@@ -20,7 +20,11 @@ Edge = tuple[int, int, int]
 
 
 class NotTwoLOColorable(Exception):
-    """A structural reduction produced a witness that no 2-color LO coloring exists."""
+    """Linearization stopped at a collapsing edge, its ``witness``.
+
+    The message says whether the collapse certifies that no 2-color LO
+    coloring exists (see :func:`make_linear`).
+    """
 
     def __init__(self, message: str, witness: Edge | None = None):
         super().__init__(message)
@@ -200,9 +204,9 @@ class RankedColoring:
     def shifted(self, delta: int) -> "RankedColoring":
         return RankedColoring({v: r + delta for v, r in self._ranks.items()})
 
-    def relabeled(self, vmap: Mapping[int, int]) -> "RankedColoring":
-        """Apply a vertex-id translation (e.g. induced-subgraph ids back to parent ids)."""
-        return RankedColoring({int(vmap[v]): r for v, r in self._ranks.items()})
+    def relabeled(self, ids: Sequence[int]) -> "RankedColoring":
+        """Translate vertex v to ``ids[v]`` (e.g. induced-subgraph ids back to parent ids)."""
+        return RankedColoring({int(ids[v]): r for v, r in self._ranks.items()})
 
     def normalized(self) -> "RankedColoring":
         """Map the distinct ranks order-preservingly onto 1..k."""
@@ -211,112 +215,91 @@ class RankedColoring:
 
 
 @dataclass(frozen=True)
-class MergeMap:
-    """Vertex identification record: original id -> surviving representative id.
-
-    The map is idempotent: ``rep[rep[v]] == rep[v]`` for every vertex.
-    """
-
-    representative: tuple[int, ...]
-
-    def __call__(self, v: int) -> int:
-        return self.representative[v]
-
-    def __len__(self) -> int:
-        return len(self.representative)
-
-    @classmethod
-    def identity(cls, n: int) -> "MergeMap":
-        return cls(tuple(range(n)))
-
-    def is_identity(self) -> bool:
-        return all(r == v for v, r in enumerate(self.representative))
-
-
-@dataclass(frozen=True)
 class DegreeStats:
     degrees: np.ndarray
     delta_bar: float
 
 
-def is_linear(H: Hypergraph) -> bool:
-    """True iff no two edges share two or more vertices.
+def _pair_codes(E: np.ndarray, n: int) -> np.ndarray:
+    """The codes ``a*n + b`` of the pairs (a, b), (a, c), (b, c), one row per edge.
 
-    Each edge's three vertex pairs get the code ``a*n + b``, which is below
-    n**2 and so exact in int64 for n up to 3*10**9; the hypergraph is linear
-    iff no code repeats.
+    A code is below n**2, so it is exact in int64 for n up to 3*10**9.
     """
-    E = H.edge_array()
-    codes = (E[:, [0, 0, 1]] * H.n + E[:, [1, 2, 2]]).ravel()
+    return E[:, [0, 0, 1]] * n + E[:, [1, 2, 2]]
+
+
+def is_linear(H: Hypergraph) -> bool:
+    """True iff no two edges share two or more vertices, that is, no pair code repeats."""
+    codes = _pair_codes(H.edge_array(), H.n).ravel()
     return len(np.unique(codes)) == len(codes)
 
 
-def make_linear(H: Hypergraph) -> tuple[Hypergraph, MergeMap]:
+def make_linear(H: Hypergraph) -> tuple[Hypergraph, tuple[int, ...]]:
     """Identify vertices until no two edges share a pair of vertices.
 
     Whenever two edges agree on two vertices, their third vertices must take
-    equal colors in any 2-color LO coloring, so they are merged.  Merging is
-    iterated to a fixpoint with union-find (smallest id in each class becomes
-    the representative).  If an edge ever collapses to fewer than three
-    distinct representatives, that certifies the instance admits no 2-color
-    LO coloring and :class:`NotTwoLOColorable` is raised.
+    equal colors in any 2-color LO coloring, so they are merged.  Each round
+    maps the edges onto the current representatives, links the third
+    vertices of every pair that more than one edge holds, and merges each
+    connected component into its smallest id, until no pair is shared.
 
-    The output hypergraph keeps the vertex count of ``H``; merged-away
-    vertices simply end up in no edge.  A linear ``H`` is returned as it is,
-    with the identity map.
+    Returns the merged hypergraph, which keeps the vertex count of ``H``
+    (merged-away vertices end up in no edge), and the tuple ``rep`` with
+    ``rep[v]`` the smallest id of v's class.  A linear ``H`` is returned as
+    it is, with ``rep = (0, 1, ..., n-1)``.
+
+    If an edge collapses to fewer than three classes, the first such edge in
+    ``H.edge_array()`` order is raised as the witness of
+    :class:`NotTwoLOColorable`.  When all three of its vertices fall into one
+    class, no 2-color LO coloring exists.  A collapse to two classes
+    ``{a, a, b}`` only forces b above a, which this reduction cannot express,
+    so it stops there without deciding the instance.
     """
     if is_linear(H):
-        return H, MergeMap.identity(H.n)
-    edges = H.edge_array().tolist()
-    parent = list(range(H.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return True
-
+        return H, tuple(range(H.n))
+    E = H.edge_array()
+    rep = np.arange(H.n)
     while True:
-        mapped: set[Edge] = set()
-        for e in edges:
-            t = tuple(sorted(find(v) for v in e))
-            if len(set(t)) != 3:
-                e = tuple(e)
-                raise NotTwoLOColorable(
-                    f"edge {e} collapses under merging: not 2-LO colorable", witness=e
-                )
-            mapped.add(t)
-        changed = False
-        third_of: dict[tuple[int, int], int] = {}
-        for a, b, c in sorted(mapped):
-            for pair, other in (((a, b), c), ((a, c), b), ((b, c), a)):
-                prev = third_of.get(pair)
-                if prev is None:
-                    third_of[pair] = other
-                elif prev != other:
-                    changed = union(prev, other) or changed
-        if not changed:
-            reps = tuple(find(v) for v in range(H.n))
-            return Hypergraph(H.n, sorted(mapped)), MergeMap(reps)
+        mapped = np.sort(rep[E], axis=1)
+        collapsed = (mapped[:, 0] == mapped[:, 1]) | (mapped[:, 1] == mapped[:, 2])
+        if collapsed.any():
+            i = int(np.argmax(collapsed))
+            e = tuple(E[i].tolist())
+            if mapped[i, 0] == mapped[i, 2]:
+                reason = "collapses under merging: not 2-LO colorable"
+            else:
+                reason = "collapses to two classes under merging: linearization cannot continue"
+            raise NotTwoLOColorable(f"edge {e} {reason}", witness=e)
+        mapped = np.unique(mapped, axis=0)
+        codes = _pair_codes(mapped, H.n).ravel()
+        thirds = mapped[:, [2, 1, 0]].ravel()
+        order = np.argsort(codes)
+        sorted_codes = codes[order]
+        shared = np.flatnonzero(sorted_codes[1:] == sorted_codes[:-1])
+        if not len(shared):
+            return Hypergraph(H.n, mapped), tuple(rep.tolist())
+        # Imported here: no linear input needs scipy.sparse.csgraph loaded.
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        u, w = thirds[order[shared]], thirds[order[shared + 1]]
+        links = coo_matrix((np.ones(len(u)), (u, w)), shape=(H.n, H.n))
+        _, label = connected_components(links, directed=False)
+        _, smallest = np.unique(label, return_index=True)
+        rep = smallest[label][rep]
 
 
-def lift_coloring(M: MergeMap, coloring: RankedColoring) -> RankedColoring:
-    """Pull a coloring of the merged hypergraph back to the original vertices."""
+def lift_coloring(rep: Sequence[int], coloring: RankedColoring) -> RankedColoring:
+    """Pull a coloring of the merged hypergraph back to the original vertices.
+
+    ``rep`` is the representative tuple of :func:`make_linear`: vertex v
+    takes the rank of ``rep[v]``, which must be colored.
+    """
     lifted = {}
-    for v in range(len(M)):
-        rep = M(v)
-        if rep not in coloring:
-            raise ValueError(f"representative {rep} of vertex {v} is unassigned")
-        lifted[v] = coloring[rep]
+    for v, r in enumerate(rep):
+        if r not in coloring:
+            raise ValueError(f"representative {r} of vertex {v} is unassigned")
+        lifted[v] = coloring[r]
     return RankedColoring(lifted)
 
 

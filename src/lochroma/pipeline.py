@@ -243,7 +243,7 @@ def lo_color(H: Hypergraph, cfg: PipelineConfig | None = None) -> tuple[RankedCo
 
     degs = H_lin.degrees()
     core_ids = [v for v in range(H_lin.n) if degs[v] > 0]
-    lonely = [v for v in range(H_lin.n) if degs[v] == 0 and merge(v) == v]
+    lonely = [v for v in range(H_lin.n) if degs[v] == 0 and merge[v] == v]
     H_core, core_map = induced(H_lin, core_ids)
 
     sdp_iters = 0
@@ -281,7 +281,7 @@ def lo_color(H: Hypergraph, cfg: PipelineConfig | None = None) -> tuple[RankedCo
                 )
             else:
                 c_bal_sub = color_balanced(H_bal, ortho_bal, cfg)
-            c_bal = c_bal_sub.relabeled({i: old for i, old in enumerate(bal_map)})
+            c_bal = c_bal_sub.relabeled(bal_map)
         else:
             c_bal = RankedColoring()
         timings["color_balanced"] = time.perf_counter() - t3
@@ -291,7 +291,7 @@ def lo_color(H: Hypergraph, cfg: PipelineConfig | None = None) -> tuple[RankedCo
         except ValueError as exc:
             raise PipelineError("combine", str(exc)) from exc
 
-    c_lin = c_core.relabeled({i: old for i, old in enumerate(core_map)})
+    c_lin = c_core.relabeled(core_map)
     if lonely:
         floor = c_lin.min_rank() if c_lin else 1
         c_lin = c_lin.assign(lonely, floor)

@@ -145,7 +145,12 @@ class VectorSolution:
         iters: int = 0,
     ) -> "VectorSolution":
         vstar = np.asarray(vstar, dtype=float)
-        vecs = np.asarray(vecs, dtype=float).reshape(H.n, -1)
+        vecs = np.asarray(vecs, dtype=float)
+        if vstar.ndim != 1 or vecs.shape != (H.n, len(vstar)):
+            raise ValueError(
+                f"certificate shapes {vstar.shape} and {vecs.shape} do not fit "
+                f"{H.n} vertices: expected (d,) and ({H.n}, d)"
+            )
         nr, er = _residuals(H, vstar, vecs)
         return cls(vstar, vecs, nr, er, tol=tol, iters=iters)
 

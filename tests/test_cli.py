@@ -97,6 +97,22 @@ class TestColorVerify:
         code = run("color", k4)
         assert code in (3, 4)
 
+    def test_two_class_collapse_not_claimed_uncolorable(self, tmp_path, capsys):
+        # 3 and 4 merge through the pair {1, 2}, so (3, 4, 5) falls into two
+        # classes.  The reduction stops there, but a 2-LO coloring exists.
+        f = tmp_path / "two.h3"
+        f.write_text("p h3 5 3\n1 2 3\n1 2 4\n3 4 5\n")
+        assert run("oracle", "lo", f, "--k", 2) == 0
+        capsys.readouterr()
+        assert run("color", f) == 4
+        err = one_stderr_line(capsys)
+        assert err.startswith("instance rejected: ")
+        assert "not 2-LO colorable" not in err
+        k4 = tmp_path / "k4.h3"
+        k4.write_text("p h3 4 4\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n")
+        assert run("color", k4) == 4
+        assert "not 2-LO colorable" in one_stderr_line(capsys)
+
     def test_stall_without_reduction(self, tmp_path):
         # A non-2-LO-colorable *linear* instance reaches the solver and
         # stalls: expand K4's pair intersections with fresh vertices is hard
@@ -215,6 +231,26 @@ class TestSolveAndStats:
         capsys.readouterr()
         assert run("verify", out, out.with_suffix(".cert"), "--cert", "--sdp-tol", tol) == 1
         assert "tol must be a finite number > 0" in one_stderr_line(capsys)
+
+    @pytest.mark.parametrize("command", ["verify", "stats"])
+    def test_cert_of_another_shape_rejected(self, command, tmp_path, capsys):
+        # Six vertex rows for a 3-vertex instance: not read as 3 rows of 2.
+        instance = tmp_path / "e.h3"
+        instance.write_text("p h3 3 1\n1 2 3\n")
+        cert = tmp_path / "six.cert"
+        cert.write_text("7 1\n1\n" + "-1\n" * 6)
+        argv = (instance, cert, "--cert") if command == "verify" else (instance, "--cert", cert)
+        assert run(command, *argv) == 1
+        err = one_stderr_line(capsys)
+        assert "(6, 1)" in err and "(3, d)" in err
+
+    def test_cert_of_empty_instance(self, tmp_path, capsys):
+        instance = tmp_path / "empty.h3"
+        instance.write_text("p h3 0 0\n")
+        cert = tmp_path / "empty.cert"
+        cert.write_text("1 1\n1\n")
+        assert run("verify", instance, cert, "--cert") == 0
+        assert "edge_residual=0" in capsys.readouterr().out
 
     def test_solve_stall_exit_3(self, tmp_path):
         k4 = tmp_path / "k4.h3"

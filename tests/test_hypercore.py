@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lochroma import (
     Hypergraph,
-    MergeMap,
     NotTwoLOColorable,
     RankedColoring,
     check_even_is,
@@ -187,7 +186,75 @@ class TestLinear:
         assert is_linear(Hypergraph(3, []))
 
 
+def _make_linear_reference(H):
+    """Union-find linearization: merge the thirds of shared pairs to a fixpoint."""
+    if is_linear(H):
+        return H, tuple(range(H.n))
+    edges = H.edge_array().tolist()
+    parent = list(range(H.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        if rx > ry:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        return True
+
+    while True:
+        mapped = set()
+        for e in edges:
+            t = tuple(sorted(find(v) for v in e))
+            if len(set(t)) != 3:
+                e = tuple(e)
+                raise NotTwoLOColorable(
+                    f"edge {e} collapses under merging: not 2-LO colorable", witness=e
+                )
+            mapped.add(t)
+        changed = False
+        third_of = {}
+        for a, b, c in sorted(mapped):
+            for pair, other in (((a, b), c), ((a, c), b), ((b, c), a)):
+                prev = third_of.get(pair)
+                if prev is None:
+                    third_of[pair] = other
+                elif prev != other:
+                    changed = union(prev, other) or changed
+        if not changed:
+            reps = tuple(find(v) for v in range(H.n))
+            return Hypergraph(H.n, sorted(mapped)), reps
+
+
+@st.composite
+def overlapping_hypergraphs(draw):
+    """Up to 18 edges on at most 14 vertices, so edges often share pairs."""
+    n = draw(st.integers(min_value=3, max_value=14))
+    triple = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    return Hypergraph(n, draw(st.lists(triple, max_size=18)))
+
+
 class TestMakeLinear:
+    @given(overlapping_hypergraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_union_find_reference(self, H):
+        try:
+            expected = _make_linear_reference(H)
+        except NotTwoLOColorable as exc:
+            with pytest.raises(NotTwoLOColorable) as got:
+                make_linear(H)
+            assert got.value.witness == exc.witness
+            return
+        H2, rep = make_linear(H)
+        assert H2 == expected[0]
+        assert rep == expected[1]
+
     def test_pair_share_merges_thirds(self):
         H = Hypergraph(4, [(0, 1, 2), (0, 1, 3)])
         # Exhaustive oracle: in every 2-color LO coloring of H, vertices 2 and
@@ -196,20 +263,20 @@ class TestMakeLinear:
             assert c[2] == c[3]
         H2, M = make_linear(H)
         assert is_linear(H2)
-        assert M(2) == M(3)
+        assert M[2] == M[3]
         assert H2.edges == ((0, 1, 2),)
 
     def test_already_linear_fixpoint(self, star_three):
         H2, M = make_linear(star_three)
         assert H2 == star_three
-        assert M.is_identity()
+        assert M == tuple(range(star_three.n))
 
     def test_linear_input_returned_as_is(self):
         H = gen_planted(60, 40, 3).H
         assert is_linear(H)
         H2, M = make_linear(H)
         assert H2 is H
-        assert M == MergeMap.identity(H.n)
+        assert M == tuple(range(H.n))
 
     def test_k4_collapse_witness(self, k4_triples):
         # Brute force over all 2^4 colorings: none is a valid LO 2-coloring.
@@ -224,7 +291,7 @@ class TestMakeLinear:
         except NotTwoLOColorable:
             return
         for v in range(6):
-            assert M(M(v)) == M(v)
+            assert M[M[v]] == M[v]
 
     def test_roundtrip_against_brute_colorings(self):
         # Merging cascades: 2~3 via the {0,1} pair, then 0~4 via {1,2}.
@@ -244,24 +311,29 @@ class TestMakeLinear:
         # (here (2,1,1,1,2) works).  The planted families never trigger this.
         H = Hypergraph(5, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
         assert any(True for _ in all_lo_colorings(H, 2))
-        with pytest.raises(NotTwoLOColorable):
+        with pytest.raises(NotTwoLOColorable) as exc:
             make_linear(H)
+        # Vertices 2 and 3 merge, so (2, 3, 4) falls into two classes: that
+        # stops the reduction but proves nothing about colorability.
+        assert exc.value.witness == (2, 3, 4)
+        assert "not 2-LO colorable" not in str(exc.value)
+        assert "linearization cannot continue" in str(exc.value)
 
 
 class TestLift:
     def test_identity(self):
-        M = MergeMap.identity(3)
+        M = tuple(range(3))
         c = RankedColoring({0: 1, 1: 2, 2: 1})
         assert lift_coloring(M, c) == c
 
     def test_copy_through_representative(self):
-        M = MergeMap((0, 1, 2, 2))
+        M = (0, 1, 2, 2)
         c = RankedColoring({0: 1, 1: 1, 2: 2})
         lifted = lift_coloring(M, c)
         assert lifted[3] == 2
 
     def test_unassigned_representative(self):
-        M = MergeMap((0, 0))
+        M = (0, 0)
         with pytest.raises(ValueError, match="unassigned"):
             lift_coloring(M, RankedColoring({1: 1}))
 
@@ -278,8 +350,8 @@ class TestLift:
 
         reps1 = compress([data.draw(st.integers(min_value=0, max_value=v)) for v in range(n)])
         reps2 = compress([data.draw(st.integers(min_value=0, max_value=v)) for v in range(n)])
-        M1, M2 = MergeMap(tuple(reps1)), MergeMap(tuple(reps2))
-        composed = MergeMap(tuple(reps2[reps1[v]] for v in range(n)))
+        M1, M2 = tuple(reps1), tuple(reps2)
+        composed = tuple(reps2[reps1[v]] for v in range(n))
         base = RankedColoring({v: data.draw(st.integers(0, 5)) for v in range(n)})
         via_two = lift_coloring(M1, lift_coloring(M2, base))
         via_one = lift_coloring(composed, base)
