@@ -73,6 +73,15 @@ _HANDLED = tuple(t for types, _, _ in FAILURES for t in types)
 CSV_SCHEMA_COMMENT = "# schema=1"
 
 
+def _message(exc: Exception) -> str:
+    """The error's message, with a ``NotTwoLOColorable`` witness edge named
+    in the file's 1-based ids (the library's ids are 0-based)."""
+    if isinstance(exc, NotTwoLOColorable) and exc.witness is not None:
+        one_based = tuple(v + 1 for v in exc.witness)
+        return str(exc).replace(f"edge {exc.witness}", f"edge {one_based}", 1)
+    return str(exc)
+
+
 def _add_seed_flag(p: argparse.ArgumentParser) -> None:
     # Also accepted after the subcommand; a separate dest keeps the
     # subparser's default from clobbering a seed given before it.
@@ -307,7 +316,7 @@ def main(argv=None) -> int:
         code, label = next(
             (code, label) for types, code, label in FAILURES if isinstance(exc, types)
         )
-        print(f"{label}: {exc}", file=sys.stderr)
+        print(f"{label}: {_message(exc)}", file=sys.stderr)
         return code
 
 

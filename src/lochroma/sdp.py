@@ -23,9 +23,10 @@ Where both rank-3 attempts stall, or the reduced phase is skipped, a
 full-space phase runs on the stacked edge-sum and unit-norm residuals, from
 one seeded start at the wider rank ``rank_for(H)``, about sqrt(2m), where
 the Burer-Monteiro landscape is more benign (Boumal, Voroninski & Bandeira
-2016), each step an inexact CG solve (an inexact-Newton forcing term, Dembo,
-Eisenstat & Steihaug 1982).  G is its Gauss-Newton matrix, and G times the
-factor is the edge part of its gradient.
+2016), each step a CG solve only to the relative residual min(0.1, ||F||)
+(an inexact-Newton forcing term, Dembo, Eisenstat & Steihaug 1982).  G is
+its Gauss-Newton matrix, and G times the factor is the edge part of its
+gradient.
 A stall is never reported as an infeasibility certificate; it carries the
 residuals of the best candidate (smallest worst-residual) as evidence.
 """
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import daxpy, ddot, dscal
 from scipy.linalg.lapack import dpstrf
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .hypercore import Hypergraph
 from .rng import normals, substream
@@ -49,8 +50,9 @@ DEFAULT_TOL = 1e-8
 # LM iterations of the full-space start; near the rank-deficient solutions of
 # the harder planted cores it converges only linearly.  Alone on the cores of
 # gen_planted(n, m, s) at 8 shapes (n = 150-600, m/n = 0.5-0.8, s = 0-5, and
-# s = 6-11 at m/n = 0.7-0.8) it solves 56 of 60, within 188 iterations bar
-# (150, 112, 0) at 299 and (300, 210, 4) at 730; (3000, 2250, 1) stalls.
+# s = 6-11 at m/n = 0.7-0.8), from lo_color's solver seed, it solves 57 of
+# 60, within 196 iterations bar (150, 112, 0) at 299, (300, 210, 4) at 746
+# and (600, 420, 10) at 822; (3000, 2250, 1) stalls.
 FULL_SPACE_ITERS = 1000
 
 # Reduced-LM rank on a q-dimensional null space: min(q, REDUCED_RANK).  Each
@@ -285,25 +287,73 @@ def _lm(P, residuals, step, tol, max_iters):
     return P, iters, worst <= tol
 
 
+def _cg(apply, B, rtol, maxiter):
+    """Conjugate gradients for apply(X) = B on (n+1, r) arrays, from X = 0.
+
+    ``apply`` is a symmetric positive definite operator.  As scipy's ``cg``
+    does, the loop tests sqrt(r.r) < rtol * ||B|| on the residual r before
+    each iteration and returns after ``maxiter`` iterations; a zero B gives
+    zeros.  x, r and p are allocated once, and each iteration updates them
+    in place by BLAS-1 calls on their raveled views.
+    """
+    x = np.zeros_like(B)
+    r = B.copy()
+    p = B.copy()
+    xf, rf, pf = x.ravel(), r.ravel(), p.ravel()
+    rho = ddot(rf, rf)
+    if rho == 0.0:
+        return x
+    stop = rtol * math.sqrt(rho)
+    for it in range(maxiter):
+        if math.sqrt(rho) < stop:
+            break
+        if it:
+            dscal(rho / rho_prev, pf)
+            daxpy(rf, pf)
+        qf = apply(p).ravel()
+        alpha = rho / ddot(pf, qf)
+        daxpy(pf, xf, a=alpha)
+        daxpy(qf, rf, a=-alpha)
+        rho_prev, rho = rho, ddot(rf, rf)
+    return x
+
+
 def _full_space_lm(X, E, G, tol, max_iters):
     """Levenberg-Marquardt (``_lm``) on stacked edge-sum and unit-norm residuals.
 
     The edge residuals are T = Z^T X, so the Gauss-Newton matrix of the edge
     part is the Gram G = Z Z^T and J^T F's edge part is Z T = G X.  Each
-    step is solved by CG only to the relative residual min(0.1, val), with
-    val the current sum of squared residuals: an inexact-Newton forcing
-    term (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996).  Far
-    from a solution a loose step is as good as an exact one and costs a few
-    matvecs, so the method needs no first-order phase to reach its basin;
-    as val falls the steps tighten and convergence turns superlinear,
-    except near the rank-deficient solutions of some cores, where it is
-    linear and each CG solve stops at ``maxiter`` (see
-    ``FULL_SPACE_ITERS``).  The forcing term tracks val, not its square
-    root, which took more iterations on each of three planted cores
-    measured (80 against 69 on the core of gen_planted(150, 112, 1)).
+    step is solved by ``_cg`` only to the relative residual min(0.1, ||F||),
+    with ||F||^2 = val the current sum of squared residuals: an
+    inexact-Newton forcing term of order ||F||, which gives quadratic local
+    convergence at a regular solution (Dembo, Eisenstat & Steihaug 1982;
+    Eisenstat & Walker 1996).  Far from a solution a loose step is as good
+    as an exact one and costs a few matvecs, so the method needs no
+    first-order phase to reach its basin; near the rank-deficient solutions
+    of some cores convergence is linear and each CG solve stops at
+    ``maxiter`` (see ``FULL_SPACE_ITERS``).
+
+    The phase alone from its ``sdp:init:0`` start at lo_color's solver seed
+    (SdpConfig seed 1 on the first core), in LM iterations / CG iterations
+    / seconds, BLAS 1 thread, with the forcing term val and scipy's ``cg``,
+    and as now; "stall" is 1000 LM iterations unconverged:
+
+        planted core      val, scipy cg            ||F||, _cg
+        (150, 112, 1)     70 / 21486 / 1.01        81 / 22367 / 0.53
+        (450, 360, 6)     100 / 31667 / 4.47       116 / 36386 / 3.02
+        (150, 112, 0)     299 / 110696 / 5.41      299 / 73992 / 1.80
+        (300, 210, 4)     730 / 321696 / 30.1      746 / 297242 / 14.3
+        (240, 120, 12)    13 / 576 / 0.03          14 / 553 / 0.02
+        (300, 210, 3)     stall / 472477 / 42.6    stall / 449729 / 21.8
+        (600, 420, 4)     stall / 489208 / 80.1    stall / 486343 / 56.3
+
+    The looser term takes up to 16 more LM iterations, but fewer CG
+    iterations on 5 of these 7 cores, and each CG iteration costs less in
+    ``_cg``.
     """
-    n1, r = X.shape
+    n1 = X.shape[0]
     n = n1 - 1
+    shift = sp.identity(n1, format="csr")
 
     def residuals(Y):
         T = Y[E[:, 0]] + Y[E[:, 1]] + Y[E[:, 2]] + Y[n]
@@ -314,16 +364,18 @@ def _full_space_lm(X, E, G, tol, max_iters):
 
     def step(Y, g, val, lam):
         JtF = G @ Y + 2.0 * g[:, None] * Y
+        GL = G + lam * shift
+        Y4 = 4.0 * Y
+        work = np.empty_like(Y)
 
-        def matvec(dvec):
-            D = dvec.reshape(n1, r)
-            out = G @ D
-            out = out + 4.0 * ((Y * D).sum(axis=1))[:, None] * Y
-            return (out + lam * D).ravel()
+        def apply(D):
+            # (G + lam I) D + 4 diag(Y D^T) Y, the damped Gauss-Newton matrix.
+            np.multiply(np.einsum("ij,ij->i", Y, D)[:, None], Y4, out=work)
+            out = GL @ D
+            out += work
+            return out
 
-        op = LinearOperator((n1 * r, n1 * r), matvec=matvec)
-        delta, _ = cg(op, -JtF.ravel(), rtol=min(0.1, val), atol=0.0, maxiter=500)
-        return delta.reshape(n1, r)
+        return _cg(apply, -JtF, min(0.1, math.sqrt(val)), 500)
 
     return _lm(X, residuals, step, tol, max_iters)
 

@@ -113,6 +113,18 @@ class TestColorVerify:
         assert run("color", k4) == 4
         assert "not 2-LO colorable" in one_stderr_line(capsys)
 
+    def test_collapse_witness_in_file_ids(self, tmp_path, capsys):
+        # The library names the witness 0-based; the CLI names it as the
+        # file does, 1-based.
+        f = tmp_path / "two.h3"
+        f.write_text("p h3 5 3\n1 2 3\n1 2 4\n3 4 5\n")
+        assert run("color", f) == 4
+        assert "edge (3, 4, 5) collapses" in one_stderr_line(capsys)
+        k4 = tmp_path / "k4.h3"
+        k4.write_text("p h3 4 4\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n")
+        assert run("color", k4) == 4
+        assert "edge (1, 2, 3) collapses" in one_stderr_line(capsys)
+
     def test_stall_without_reduction(self, tmp_path):
         # A non-2-LO-colorable *linear* instance reaches the solver and
         # stalls: expand K4's pair intersections with fresh vertices is hard

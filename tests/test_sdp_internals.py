@@ -2,12 +2,13 @@
 Cholesky factor and the cut on that factor's pivots, the skip of an unused
 basis, the reduced LM step and its one rank, solutions that do not depend on
 the choice of null basis, and the full-space LM: its Gauss-Newton matrix,
-its inexact CG steps against a reference, and the phase alone on planted
-cores."""
+its CG against scipy's, its inexact steps against a reference, and the
+phase alone on planted cores."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh, null_space
 from scipy.linalg.lapack import dpstrf
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import cg
 
 from lochroma import Hypergraph, SdpConfig, gen_planted, residual, solve_feasibility
 from lochroma import sdp
@@ -197,6 +198,50 @@ def test_lm_takes_a_failed_step_solve_as_a_rejected_step():
     assert x[0] == 2.0 - 2.0 / 1.1
 
 
+def _spd_operator(seed, n, r):
+    """A random SPD operator on (n, r) arrays, eigenvalues in [0.1, 10], and its matrix."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n * r, n * r)))
+    M = (Q * rng.uniform(0.1, 10.0, n * r)) @ Q.T
+    calls = []
+
+    def apply(D):
+        calls.append(1)
+        return (M @ D.ravel()).reshape(n, r)
+
+    return apply, M, calls
+
+
+@pytest.mark.parametrize("seed, n, r", [(0, 12, 3), (1, 30, 1), (2, 8, 6), (3, 41, 2)])
+@pytest.mark.parametrize("rtol", [0.1, 1e-3, 1e-8])
+def test_cg_matches_scipy_cg(seed, n, r, rtol):
+    """``_cg`` agrees with scipy's ``cg`` to about rtol, and when it returns
+    before maxiter its relative residual is at most rtol."""
+    apply, M, calls = _spd_operator(seed, n, r)
+    B = np.random.default_rng(seed + 100).standard_normal((n, r))
+    x = sdp._cg(apply, B, rtol, 500)
+    ref, _ = cg(M, B.ravel(), rtol=rtol, atol=0.0, maxiter=500)
+    assert x.shape == B.shape
+    assert np.linalg.norm(x.ravel() - ref) <= rtol * np.linalg.norm(ref)
+    assert len(calls) < 500
+    assert np.linalg.norm(B.ravel() - M @ x.ravel()) <= rtol * np.linalg.norm(B)
+
+
+def test_cg_zero_right_hand_side_returns_zeros():
+    apply, _, calls = _spd_operator(0, 10, 2)
+    x = sdp._cg(apply, np.zeros((10, 2)), 0.1, 500)
+    assert np.array_equal(x, np.zeros((10, 2))) and not calls
+
+
+@pytest.mark.parametrize("maxiter", [1, 5, 17])
+def test_cg_stops_at_maxiter(maxiter):
+    apply, M, calls = _spd_operator(4, 20, 3)
+    B = np.random.default_rng(5).standard_normal((20, 3))
+    x = sdp._cg(apply, B, 0.0, maxiter)
+    assert len(calls) == maxiter
+    assert np.linalg.norm(B.ravel() - M @ x.ravel()) > 0.0
+
+
 def _polish_matrix_reference(E, n):
     """The per-edge quadruple loop that built _full_space_lm's Gauss-Newton matrix."""
     rows, cols = [], []
@@ -211,7 +256,9 @@ def _polish_matrix_reference(E, n):
 
 def _full_space_lm_reference(X, E, tol, max_iters):
     """_full_space_lm with the quadruple-loop matrix A, and the damping and
-    stop rules of the shared LM loop written out."""
+    stop rules of the shared LM loop written out: each step is ``sdp._cg``
+    on (A + lam I) D + 4 diag(X D^T) X to the relative residual
+    min(0.1, sqrt(val))."""
     n1, r = X.shape
     n = n1 - 1
     A = _polish_matrix_reference(E, n)
@@ -234,17 +281,14 @@ def _full_space_lm_reference(X, E, tol, max_iters):
     while iters < max_iters and not converged(T, g):
         iters += 1
         JtF = A @ X + 2.0 * g[:, None] * X
-        Xc = X
+        AL = A + lam * sp.identity(n1, format="csr")
+        Xc, X4 = X, 4.0 * X
 
-        def matvec(dvec):
-            D = dvec.reshape(n1, r)
-            out = A @ D
-            out = out + 4.0 * ((Xc * D).sum(axis=1))[:, None] * Xc
-            return (out + lam * D).ravel()
+        def apply(D):
+            return AL @ D + np.einsum("ij,ij->i", Xc, D)[:, None] * X4
 
-        op = LinearOperator((n1 * r, n1 * r), matvec=matvec)
-        delta, _ = cg(op, -JtF.ravel(), rtol=min(0.1, val), atol=0.0, maxiter=500)
-        trial = X + delta.reshape(n1, r)
+        delta = sdp._cg(apply, -JtF, min(0.1, math.sqrt(val)), 500)
+        trial = X + delta
         Tt, gt = residual_parts(trial)
         tv = value(Tt, gt)
         if tv < val:
@@ -307,14 +351,14 @@ def _stalled_reduced_lm(calls):
     "H, cfg",
     [
         (gen_planted(30, 15, 4).H, SdpConfig(seed=0)),
-        # A core at m/n = 0.84; the start converges in 69 iterations.
+        # A core at m/n = 0.84; the start converges in 81 iterations.
         (_planted_core(150, 112, 1), SdpConfig(seed=1)),
         # The seed lo_color uses for this input.  Convergence is linear near
-        # a low-rank solution, and the start needs 102 iterations, above
+        # a low-rank solution, and the start needs 116 iterations, above
         # the 80 that each start ran after the removed penalty descent.
         (_planted_core(450, 360, 6), SdpConfig(seed=derive_seed(6, "sdp"))),
         # Again lo_color's seed.  The start converges linearly and needs
-        # about 300 iterations, more than a cap of 200 per start allows.
+        # 299 iterations, more than a cap of 200 per start allows.
         (_planted_core(150, 112, 0), SdpConfig(seed=derive_seed(0, "sdp"))),
     ],
     ids=["planted-30-15-4", "core-150-112-1", "core-450-360-6", "core-150-112-0"],
@@ -346,7 +390,7 @@ def test_reduced_phase_tries_rank_three_twice(monkeypatch):
 def test_full_space_solves_core_where_rank_three_stalls(monkeypatch):
     """On the core of gen_planted(240, 120, 12), as lo_color solves it with
     pipeline seed 12, both rank-3 attempts stall and the full-space phase
-    converges (in 13 iterations)."""
+    converges (in 14 iterations)."""
     H = _planted_core(240, 120, 12)
     calls = []
     reduced_lm, full_space_lm = sdp._reduced_lm, sdp._full_space_lm
