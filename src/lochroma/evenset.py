@@ -4,14 +4,15 @@ Parity kernel: a set meets every edge 0 or 2 times exactly when its indicator
 lies in the GF(2) kernel of the edge incidence matrix, because a 3-element
 edge has even intersection iff the three indicator bits XOR to zero.  Any
 2-color LO coloring's base class is such a vector, so on promise instances
-the kernel is nontrivial; a hill climb over the kernel basis looks for a
-heavy vector.  Instances with at most 16 vertices are also searched exactly.
+the kernel is nontrivial; the heaviest vector of the reduced kernel basis is
+taken.
 """
 
 from __future__ import annotations
 
 from .hypercore import Hypergraph, check_even_is, is_linear
-from .oracle import brute_max_even_is
+# Not called here; layerbench/spans.py wraps evenset.brute_max_even_is by name.
+from .oracle import brute_max_even_is  # noqa: F401
 
 
 def _solve_kernel(rows: list[int], n: int) -> list[int]:
@@ -43,44 +44,24 @@ def _solve_kernel(rows: list[int], n: int) -> list[int]:
     return basis
 
 
-def _kernel_phase(H: Hypergraph) -> set[int]:
-    """Heaviest kernel vector found by a deterministic XOR hill climb."""
-    rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in H.edge_array().tolist()]
-    basis = _solve_kernel(rows, H.n)
-    if not basis:
-        return set()
-    current = max(basis, key=lambda v: (bin(v).count("1"), -v))
-    improved = True
-    while improved:
-        improved = False
-        weight = bin(current).count("1")
-        for b in basis:
-            trial = current ^ b
-            if bin(trial).count("1") > weight:
-                current = trial
-                improved = True
-                weight = bin(current).count("1")
-    return {v for v in range(H.n) if (current >> v) & 1}
-
-
 def even_independent_set(H: Hypergraph) -> frozenset[int]:
-    """Best even independent set found; nonempty whenever one exists.
+    """Heaviest vector of the reduced parity-kernel basis, as a vertex set.
 
-    Requires a linear hypergraph.  Takes the parity-kernel hill climb and,
-    for instances with at most 16 vertices, the exact search when it finds a
-    strictly larger set.  The result is verified before it is returned.
+    Requires a linear hypergraph.  Ties go to the smallest bitmask.  The set
+    is nonempty whenever a nonempty even set exists, except on an edgeless
+    hypergraph: there every vertex set is even, and the empty set is
+    returned.  The result is verified before it is returned.
     """
     if not is_linear(H):
         raise ValueError("even independent set extraction requires a linear hypergraph")
     if H.m == 0:
         return frozenset()
-    best = _kernel_phase(H)
-    if H.n <= 16:
-        exact = set(brute_max_even_is(H))
-        if len(exact) > len(best):
-            best = exact
-    assert check_even_is(H, best)
-    return frozenset(best)
+    rows = [(1 << a) | (1 << b) | (1 << c) for a, b, c in H.edge_array().tolist()]
+    basis = _solve_kernel(rows, H.n)
+    best = max(basis, key=lambda v: (bin(v).count("1"), -v), default=0)
+    S = frozenset(v for v in range(H.n) if (best >> v) & 1)
+    assert check_even_is(H, S)
+    return S
 
 
 def even_is_quality(H: Hypergraph, S, delta: float) -> float:

@@ -57,16 +57,10 @@ def gauss_pdf(t):
 
 
 def gcap_inv(alpha: float) -> float:
-    """The t with gcap(t) = alpha, polished by Newton to 1e-12 absolute."""
+    """The t with gcap(t) = alpha, from ``erfcinv``."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    t = float(SQRT2 * erfcinv(2.0 * alpha))
-    for _ in range(3):
-        pdf = float(gauss_pdf(t))
-        if pdf < 1e-300:
-            break
-        t += (gcap(t) - alpha) / pdf
-    return t
+    return float(SQRT2 * erfcinv(2.0 * alpha))
 
 
 def alpha_for(delta: float) -> float:

@@ -99,7 +99,7 @@ class RunReport:
     byte-identical rows under one BLAS setup; across BLAS thread counts only
     the residual fields may differ.  ``sdp_iters`` sums the LM iterations of
     every solver attempt, reduced and full-space; a planted n = 1600,
-    m = 800 call, which only the full-space phase solves, takes about 17.
+    m = 800 call, which only the full-space phase solves, takes 17–35.
     """
 
     n: int

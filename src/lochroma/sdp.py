@@ -231,7 +231,7 @@ class OrthoProfile:
 
 def _residuals(H: Hypergraph, vstar: np.ndarray, vecs: np.ndarray) -> tuple[float, float]:
     norms = np.concatenate([(vecs * vecs).sum(axis=1), [float(vstar @ vstar)]])
-    norm_res = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
+    norm_res = float(np.abs(norms - 1.0).max())
     if H.m == 0:
         return norm_res, 0.0
     E = H.edge_array()
@@ -335,21 +335,16 @@ def _full_space_lm(X, E, G, tol, max_iters):
 
     The phase alone from its ``sdp:init:0`` start at lo_color's solver seed
     (SdpConfig seed 1 on the first core), in LM iterations / CG iterations
-    / seconds, BLAS 1 thread, with the forcing term val and scipy's ``cg``,
-    and as now; "stall" is 1000 LM iterations unconverged:
+    / seconds, BLAS 1 thread; "stall" is 1000 LM iterations unconverged:
 
-        planted core      val, scipy cg            ||F||, _cg
-        (150, 112, 1)     70 / 21486 / 1.01        81 / 22367 / 0.53
-        (450, 360, 6)     100 / 31667 / 4.47       116 / 36386 / 3.02
-        (150, 112, 0)     299 / 110696 / 5.41      299 / 73992 / 1.80
-        (300, 210, 4)     730 / 321696 / 30.1      746 / 297242 / 14.3
-        (240, 120, 12)    13 / 576 / 0.03          14 / 553 / 0.02
-        (300, 210, 3)     stall / 472477 / 42.6    stall / 449729 / 21.8
-        (600, 420, 4)     stall / 489208 / 80.1    stall / 486343 / 56.3
-
-    The looser term takes up to 16 more LM iterations, but fewer CG
-    iterations on 5 of these 7 cores, and each CG iteration costs less in
-    ``_cg``.
+        planted core      LM / CG / s
+        (150, 112, 1)     81 / 22367 / 0.53
+        (450, 360, 6)     116 / 36386 / 3.02
+        (150, 112, 0)     299 / 73992 / 1.80
+        (300, 210, 4)     746 / 297242 / 14.3
+        (240, 120, 12)    14 / 553 / 0.02
+        (300, 210, 3)     stall / 449729 / 21.8
+        (600, 420, 4)     stall / 486343 / 56.3
     """
     n1 = X.shape[0]
     n = n1 - 1
@@ -441,12 +436,8 @@ def solve_feasibility(H: Hypergraph, cfg: SdpConfig | None = None) -> VectorSolu
     within its budget.
     """
     cfg = cfg or SdpConfig()
-    if H.n == 0:
-        return VectorSolution(np.array([1.0]), np.zeros((0, 1)), 0.0, 0.0, tol=cfg.tol)
     if H.m == 0:
-        vstar = np.array([1.0])
-        vecs = np.ones((H.n, 1))
-        return VectorSolution(vstar, vecs, 0.0, 0.0, tol=cfg.tol)
+        return VectorSolution(np.array([1.0]), np.ones((H.n, 1)), 0.0, 0.0, tol=cfg.tol)
 
     E = H.edge_array()
     G = _edge_gram(E, H.n)

@@ -84,6 +84,13 @@ class TestGcapInv:
             t = gcap_inv(float(alpha))
             assert abs(gcap(t) - alpha) <= 1e-12
 
+    @given(st.floats(min_value=math.log(1e-300), max_value=math.log(gcap(1.0)),
+                     exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_log_uniform(self, log_alpha):
+        alpha = math.exp(log_alpha)
+        assert abs(gcap(gcap_inv(alpha)) - alpha) <= 1e-12
+
     def test_domain_checked(self):
         with pytest.raises(ValueError):
             gcap_inv(0.0)
