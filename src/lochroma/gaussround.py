@@ -16,11 +16,19 @@ batch of draws starting at i jumps there with the generator's ``advance``
 and reads all its uniforms in one call, so draw i's Gaussian depends only on
 (seed, i, dim) and a single draw, a trace in batches and a whole round agree
 on it.  Box-Muller runs once over the batch, which is elementwise.  Edge hits
-are counted for all draws at once as a small-integer (draws, m) array.  The
-projection ``ubar @ g`` stays one matrix-vector product per draw: a single
-``G @ ubar.T`` product sums in another order, and its projections differ from
-the per-draw ones in the last bits, so a vertex within rounding of t could
-change side.
+are counted for all draws at once as a small-integer (draws, m) array.
+
+The projections of a batch come from one matrix product ``g @ ubar.T``, which
+sums each dot product in another order than the per-draw ``ubar @ g[i]``.  Two
+summation orders of a length-dim dot product u . g differ by at most
+2 gamma_dim sum_j |u_j g_j| <= 2 gamma_dim |u| |g| (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, section 3.1), with
+gamma_dim = dim eps / (1 - dim eps) and eps = 2^-53.  The rows of ``ubar`` are
+unit vectors, so a projection farther than slack_i = 4 dim eps |g_i| from t
+(``_slack``) is on the same side of t in both orders and in exact arithmetic.
+A draw with any projection within slack_i of t is recomputed as
+``ubar @ g[i]``, so every selection is the per-draw one bit for bit, and none
+depends on the BLAS thread count except in the draws that are recomputed.
 """
 
 from __future__ import annotations
@@ -109,10 +117,22 @@ def _selections(ortho: OrthoProfile, cfg: RoundingConfig, draws: range) -> np.nd
     rng.bit_generator.advance(2 * ortho.dim * draws.start)
     u = rng.random((len(draws), 2, ortho.dim))
     g = box_muller(u[:, 0], u[:, 1])
-    selected = np.empty((len(draws), ortho.n), dtype=bool)
-    for row in range(len(draws)):
+    proj = g @ ortho.ubar.T
+    selected = proj >= cfg.t
+    # Draws with a projection within rounding of t take the per-draw product
+    # (the bound is in the module docstring).
+    proj -= cfg.t
+    np.abs(proj, out=proj)
+    for row in np.flatnonzero(proj.min(axis=1, initial=np.inf) <= _slack(g)):
         selected[row] = ortho.ubar @ g[row] >= cfg.t
     return selected
+
+
+def _slack(g: np.ndarray) -> np.ndarray:
+    """Per draw i, 4 dim eps |g_i|: about twice the bound 2 gamma_dim |g_i| on
+    how far the entries of ``(g @ ubar.T)[i]`` and ``ubar @ g[i]`` can differ
+    when the rows of ``ubar`` are unit vectors."""
+    return (4.0 * g.shape[1] * 2.0**-53) * np.linalg.norm(g, axis=1)
 
 
 def _survivors(H_B: Hypergraph, selected: np.ndarray) -> np.ndarray:
@@ -136,6 +156,8 @@ def sample_round(
     draw: int = 0,
 ) -> frozenset[int]:
     """One threshold-rounding draw; output meets every edge at most once."""
+    if draw < 0:
+        raise ValueError(f"draw must be at least 0, got {draw}")
     kept = _survivors(H_B, _selections(ortho, cfg, range(draw, draw + 1)))
     return _vertex_set(kept[0])
 

@@ -39,11 +39,15 @@ print(json.dumps(out))
 
 # Balanced inputs, which the planted cases never reach (balanced = 0 there):
 # color_balanced and balanced_log_coloring on low-degree tripartite
-# certificates, and best_odd_is on random directions.  n * dim is 9900 and
-# 32000, above the 9216 below which OpenBLAS runs a matrix-vector product on
-# one thread whatever the setting.
+# certificates, color_balanced on the Z_3^6 certificate shape of the
+# cert-balanced benchmark, and best_odd_is on random directions.  A threshold
+# round projects its draws with one (draws, dim) @ (dim, n) matrix product.
+# OpenBLAS runs that product on one thread whatever the setting unless
+# draws * dim * n exceeds 65536 * 4; the first rounds here are far above it:
+# 112 * 13 * 729 on Z_3^6 and 128 * 16 * 2000 on the random directions.
 BALANCED_SCRIPT = """
 import json
+from layerbench.corpus import gen_z3_certificate
 from lochroma import (
     PipelineConfig, balanced_log_coloring, best_odd_is, gamma_profile,
     gen_balanced_tripartite, ortho_profile,
@@ -52,6 +56,9 @@ from lochroma.pipeline import color_balanced
 from test_gaussround import random_linear_instance
 out = []
 for seed in range(3):
+    H, cert = gen_z3_certificate(6, 0.5, seed)
+    coloring = color_balanced(H, ortho_profile(cert), PipelineConfig(seed=seed))
+    out.append(sorted(coloring.items()))
     inst, cert = gen_balanced_tripartite(3300, 1650, seed)
     op = ortho_profile(cert)
     coloring = color_balanced(inst.H, op, PipelineConfig(seed=seed))
@@ -67,8 +74,11 @@ print(json.dumps(out))
 def _run(threads: int, script: str, *argv: str):
     src = str(Path(lochroma.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
+    root = str(Path(__file__).resolve().parents[1])  # for layerbench
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, tests, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, tests, root, env.get("PYTHONPATH")) if p
+    )
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     done = subprocess.run(
@@ -86,5 +96,5 @@ def test_same_colorings_and_iters_across_blas_threads():
 
 def test_same_balanced_rounding_across_blas_threads():
     one, two = _run(1, BALANCED_SCRIPT), _run(2, BALANCED_SCRIPT)
-    assert len(one) == 9 and all(one)
+    assert len(one) == 12 and all(one)
     assert one == two

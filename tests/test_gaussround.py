@@ -30,7 +30,7 @@ from lochroma import (
     threshold_trace,
     two_sided_round,
 )
-from lochroma.gaussround import TRACE_BATCH, _survivors, _vertex_set, default_reps
+from lochroma.gaussround import TRACE_BATCH, _slack, _survivors, _vertex_set, default_reps
 from lochroma.rng import normals, substream
 
 
@@ -152,6 +152,15 @@ class TestSampleRound:
         cfg = RoundingConfig.for_degree(4.0, seed=3, alpha_override=1e-9)
         S = sample_round(inst.H, op, cfg, draw=0)
         assert S == frozenset()
+
+    @pytest.mark.parametrize("draw", [-1, -2])
+    def test_negative_draw_rejected(self, tripartite, draw):
+        # A negative draw would step the round's stream backwards, to
+        # uniforms that no draw of the round reads.
+        inst, op = tripartite
+        cfg = RoundingConfig.for_degree(4.0, seed=7)
+        with pytest.raises(ValueError, match=f"draw must be at least 0, got {draw}"):
+            sample_round(inst.H, op, cfg, draw=draw)
 
     def test_mean_selection_mass(self):
         # The raw selection has expectation alpha * n regardless of the
@@ -296,12 +305,17 @@ class TestBestOddISEarlySkip:
         assert got == best_odd_is_reference(H, op, delta, reps, seed)
 
 
+def draw_gaussian(dim, seed, draw):
+    """Draw ``draw``'s Gaussian, read at its fixed place in the round's stream."""
+    rng = substream(seed, "round")
+    rng.bit_generator.advance(2 * dim * draw)
+    return normals(rng, dim)
+
+
 def draw_reference(H, ortho, cfg, draw):
     """(raw, kept) of one draw at its fixed place in the round's stream, one
     matrix-vector product and the set-based drop; no gaussround internals."""
-    rng = substream(cfg.seed, "round")
-    rng.bit_generator.advance(2 * ortho.dim * draw)
-    g = normals(rng, ortho.dim)
+    g = draw_gaussian(ortho.dim, cfg.seed, draw)
     selected = (ortho.ubar @ g) >= cfg.t
     raw = frozenset(int(v) for v in np.flatnonzero(selected))
     return raw, drop_doubly_hit_reference(H, selected)
@@ -352,6 +366,67 @@ class TestBatchMatchesPerDrawReference:
         H, op = _RANDOM_INSTANCE
         best_odd_is(H, op, 4.0, reps=40, seed=6)
         assert labels == ["round"]
+
+
+class TestRecheckNearThreshold:
+    """Draws with a projection within rounding of t take the per-draw product."""
+
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_projection_within_slack(self, dim, n, draws, seed):
+        rng = np.random.default_rng(seed)
+        ubar = rng.normal(size=(n, dim))
+        ubar /= np.linalg.norm(ubar, axis=1, keepdims=True)
+        g = rng.normal(size=(draws, dim))
+        per_draw = np.array([ubar @ row for row in g])
+        assert (np.abs(g @ ubar.T - per_draw) <= _slack(g)[:, None]).all()
+
+    def test_threshold_at_a_projection(self):
+        # t is exactly draw i's per-draw projection of vertex v, so draw i is
+        # re-checked.  The batched product rounds that entry below the
+        # per-draw one, so without the re-check v would drop out of draw i.
+        H, op = random_linear_instance(80, 120, 16, 2)
+        seed, draws = 9, 40
+        g = np.array([draw_gaussian(op.dim, seed, k) for k in range(draws)])
+        per_draw = np.array([op.ubar @ row for row in g])
+        batched = g @ op.ubar.T
+        below = np.argwhere(batched < per_draw)
+        assert len(below)
+        i, v = below[0]
+        t = float(per_draw[i, v])
+        assert abs(batched[i, v] - t) <= _slack(g)[i]
+        cfg = RoundingConfig(4.0, float(gcap(t)), t, seed)
+        ref = [draw_reference(H, op, cfg, k) for k in range(draws)]
+        assert v in ref[i][0]
+        assert threshold_trace(H, op, cfg, draws) == ref
+        assert sample_round(H, op, cfg, draw=int(i)) == ref[i][1]
+
+    def test_best_odd_is_at_threshold(self):
+        # best_odd_is derives t from the degree, so vertex 0's direction is
+        # turned until its projection on draw 5's Gaussian is t.
+        H, op = random_linear_instance(80, 120, 16, 3)
+        delta, seed, reps, i = 4.0, 4, 12, 5
+        cfg = RoundingConfig.for_degree(delta, seed=seed)
+        g = np.array([draw_gaussian(op.dim, seed, k) for k in range(reps)])
+        norm = np.linalg.norm(g[i])
+        cos = cfg.t / norm
+        assert cos < 1.0
+        w = np.random.default_rng(0).normal(size=op.dim)
+        w -= (w @ g[i]) / norm**2 * g[i]
+        ubar = op.ubar.copy()
+        ubar[0] = cos * g[i] / norm + math.sqrt(1.0 - cos * cos) * w / np.linalg.norm(w)
+        op = OrthoProfile(ubar, frozenset())
+        assert abs((g @ ubar.T)[i, 0] - cfg.t) <= _slack(g)[i]
+        ref = [draw_reference(H, op, cfg, k) for k in range(reps)]
+        assert threshold_trace(H, op, cfg, reps) == ref
+        assert sample_round(H, op, cfg, draw=i) == ref[i][1]
+        best = min((kept for _, kept in ref), key=lambda S: (-len(S), sorted(S)))
+        assert best_odd_is(H, op, delta, reps=reps, seed=seed) == best
 
 
 def _set_digest(S) -> str:
