@@ -3,9 +3,12 @@ Gaussian perturbation that converts an all-balanced profile into a fully
 unbalanced one so the same rounding colors everything.
 
 The rounding halves the interval [-1, 1] toward the balance point -1/3,
-alternating lower/upper halves; the vertices falling out of the kept half at
-step j receive the (j+1)-th largest color.  Interval endpoints are exact
-rationals so the closed forms and the recurrence agree bit for bit.
+alternating lower/upper halves, down to the first interval I_T inside the band
+[-1/3 - eps, -1/3 + eps]; a vertex in d of the windows I_1 .. I_T gets rank
+T - d.  With p = 2^(j-1), I_j reaches 2/(3p) past -1/3 on one side and 1/(3p)
+on the other, so it is inside exactly when 2^j >= 4/(3 eps), and T is
+``iteration_bound(eps)``.  Interval endpoints are exact rationals so the
+closed forms and the recurrence agree bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .hypercore import Hypergraph, RankedColoring, check_lo
 from .rng import derive_seed, normals, substream
 from .sdp import DEFAULT_TOL, GammaProfile, OrthoProfile, THIRD
 
-_BAND_CENTER = Fraction(-1, 3)
-
 # The logn strategy's perturbation: radius of the band around -1/3 that no
 # kicked gamma may land in, and Gaussian draws per coloring.
 EPS_PRIME = 1e-9
@@ -38,16 +39,12 @@ class ResampleBudgetExceeded(RuntimeError):
 class IntervalSchedule:
     """Nested closed intervals I_0 contains I_1 ... down to the balance band."""
 
-    eps: float
     lowers: tuple[Fraction, ...]
     uppers: tuple[Fraction, ...]
 
     @property
     def T(self) -> int:
         return len(self.lowers) - 1
-
-    def interval(self, j: int) -> tuple[Fraction, Fraction]:
-        return self.lowers[j], self.uppers[j]
 
 
 def interval(j: int) -> tuple[Fraction, Fraction]:
@@ -78,8 +75,9 @@ def interval_by_recurrence(j: int) -> tuple[Fraction, Fraction]:
 
 
 def iteration_bound(eps) -> int:
-    """Smallest k with 2^k >= 4 / (3 eps), evaluated in exact arithmetic."""
-    e = Fraction(eps)
+    """Smallest k with 2^k >= 4 / (3 eps), evaluated in exact arithmetic;
+    ``eps`` must pass ``check_eps``."""
+    e = check_eps(eps)
     k = 0
     power = Fraction(1)
     while 3 * e * power < 4:
@@ -98,28 +96,26 @@ def check_eps(eps) -> Fraction:
 
 @functools.lru_cache
 def schedule(eps) -> IntervalSchedule:
-    """All intervals until the first one inside [-1/3 - eps, -1/3 + eps].
+    """The intervals I_0 .. I_T with T = ``iteration_bound(eps)``.
+
+    With p = 2^(j-1), I_j reaches 2/(3p) past -1/3 on one side and 1/(3p) on
+    the other, so it lies in [-1/3 - eps, -1/3 + eps] exactly when
+    2^j >= 4/(3 eps): I_T is the first interval inside that band.
 
     ``eps`` may be a float (used exactly, at its binary value) or a Fraction.
     The result is frozen and depends on ``eps`` alone, so it is built once
     per value; an invalid ``eps`` raises on every call.
     """
-    e = check_eps(eps)
-    band_lo = _BAND_CENTER - e
-    band_hi = _BAND_CENTER + e
-    intervals = [interval(0)]
-    while not (band_lo <= intervals[-1][0] and intervals[-1][1] <= band_hi):
-        intervals.append(interval(len(intervals)))
-    lowers, uppers = zip(*intervals)
-    sched = IntervalSchedule(float(e), lowers, uppers)
-    bound = iteration_bound(e)
-    if sched.T > bound:
-        raise AssertionError(f"schedule length {sched.T} exceeds bound {bound}")
-    return sched
+    lowers, uppers = zip(*(interval(j) for j in range(iteration_bound(eps) + 1)))
+    return IntervalSchedule(lowers, uppers)
 
 
 def check_gamma_sums(H: Hypergraph, gamma: np.ndarray, slack: float) -> None:
-    """Abort when some edge's gamma values do not sum to -1 within slack."""
+    """Abort when some gamma is not finite, or when some edge's gamma values
+    do not sum to -1 within slack."""
+    finite = np.isfinite(gamma)
+    if not finite.all():
+        raise ValueError(f"non-finite gamma at vertex {int(np.argmin(finite))}")
     if H.m == 0:
         return
     E = H.edge_array()
@@ -141,10 +137,11 @@ def combinatorial_rounding(
 ) -> RankedColoring:
     """Color every unbalanced vertex by bisection on the gamma values.
 
-    Step j keeps interval I_{j+1} and colors the vertices falling in
-    I_j minus I_{j+1} with rank T - j, so the first step hands out the largest
-    color.  Vertices whose gamma stays inside every interval (the balanced
-    ones) remain uncolored.  The per-edge sum precondition is checked first.
+    A vertex whose gamma lies in d of the nested closed windows I_1 .. I_T
+    falls out at step d, into I_d minus I_{d+1}, and gets rank T - d; d = T
+    (balanced) leaves it uncolored.  Rounding the exact endpoints to floats
+    is monotone, so the float windows stay nested.  The gammas are checked
+    first: all finite, and each edge's sum -1 within slack.
     """
     check_gamma_sums(H, profile.gamma, sum_slack)
     sched = schedule(profile.eps)
@@ -152,18 +149,11 @@ def combinatorial_rounding(
     # Unit-norm residuals can push a gamma epsilon past +-1; clip so the
     # outermost windows still catch those vertices.
     gamma = np.clip(profile.gamma, -1.0, 1.0)
-    ranks: dict[int, int] = {}
-    for j in range(T):
-        lo_j, hi_j = float(sched.lowers[j]), float(sched.uppers[j])
-        if j % 2 == 0:
-            mid = float(sched.uppers[j + 1])
-            mask = (gamma > mid) & (gamma <= hi_j)
-        else:
-            mid = float(sched.lowers[j + 1])
-            mask = (gamma >= lo_j) & (gamma < mid)
-        for v in np.flatnonzero(mask):
-            ranks[int(v)] = T - j
-    return RankedColoring(ranks)
+    lo = np.array(sched.lowers[1:], dtype=float)[:, None]
+    hi = np.array(sched.uppers[1:], dtype=float)[:, None]
+    depth = ((lo <= gamma) & (gamma <= hi)).sum(axis=0)
+    colored = np.flatnonzero(depth < T)
+    return RankedColoring(dict(zip(colored.tolist(), (T - depth[colored]).tolist())))
 
 
 def _check_perturbable(profile: GammaProfile, ortho: OrthoProfile) -> None:

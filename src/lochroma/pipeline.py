@@ -18,7 +18,6 @@ with the offending stage and edge.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -320,8 +319,10 @@ def lo_color(H: Hypergraph, cfg: PipelineConfig | None = None) -> tuple[RankedCo
 
 
 def logn_color_bound(eps: float) -> int:
-    """Color budget for the logn strategy: two bisection passes plus slack."""
-    return 2 * math.ceil(math.log2(4.0 / (3.0 * eps))) + 2
+    """Color budget for the logn strategy: two bisection passes at ``eps``
+    plus slack.  The second pass rounds at ``combround.EPS_PRIME`` (31 steps
+    at 1e-9, against 21 at 1e-6), so a run may in principle exceed it."""
+    return 2 * combround.iteration_bound(eps) + 2
 
 
 def bench_rows(

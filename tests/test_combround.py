@@ -32,10 +32,35 @@ from lochroma import (
     schedule,
 )
 from lochroma import combround
-from lochroma.combround import check_gamma_sums
+from lochroma.combround import check_gamma_sums, iteration_bound
 from lochroma.rng import derive_seed
 
 THIRD = 1.0 / 3.0
+
+# Band radii: the pipeline's and the perturbation's, and log-uniform over
+# (0, 2/3) down to about 1e-304, where the late windows collapse in floats.
+EPS = st.sampled_from([1e-2, 1e-4, 1e-6, combround.EPS_PRIME]) | st.floats(
+    -700.0, math.log(2.0 / 3.0)
+).map(math.exp).filter(lambda e: 0.0 < e < 2.0 / 3.0)
+
+
+def _rounding_reference(gamma, eps) -> RankedColoring:
+    """The per-step bisection: step j colors I_j minus I_{j+1} with rank T - j."""
+    sched = schedule(eps)
+    T = sched.T
+    gamma = np.clip(gamma, -1.0, 1.0)
+    ranks: dict[int, int] = {}
+    for j in range(T):
+        lo_j, hi_j = float(sched.lowers[j]), float(sched.uppers[j])
+        if j % 2 == 0:
+            mid = float(sched.uppers[j + 1])
+            mask = (gamma > mid) & (gamma <= hi_j)
+        else:
+            mid = float(sched.lowers[j + 1])
+            mask = (gamma >= lo_j) & (gamma < mid)
+        for v in np.flatnonzero(mask):
+            ranks[int(v)] = T - j
+    return RankedColoring(ranks)
 
 
 class TestIntervals:
@@ -108,6 +133,20 @@ class TestSchedule:
             with pytest.raises(ValueError, match="finite"):
                 schedule(bad)
 
+    @settings(max_examples=200, deadline=None)
+    @given(eps=EPS)
+    def test_length_is_iteration_bound(self, eps):
+        sched = schedule(eps)
+        band_lo = Fraction(-1, 3) - Fraction(eps)
+        band_hi = Fraction(-1, 3) + Fraction(eps)
+
+        def inside(j):
+            return band_lo <= sched.lowers[j] and sched.uppers[j] <= band_hi
+
+        assert sched.T == iteration_bound(eps)
+        assert inside(sched.T)
+        assert not inside(sched.T - 1)
+
     def test_built_once_per_eps(self):
         assert schedule(1e-6) is schedule(1e-6)
 
@@ -161,6 +200,35 @@ class TestRounding:
         coloring = combinatorial_rounding(inst.H, profile)
         for v in profile.unbalanced:
             assert int(v) in coloring
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=EPS, data=st.data())
+    def test_matches_per_step_reference(self, eps, data):
+        # Gammas on the exact float window endpoints and their neighbours,
+        # where a half-open window and a closed one could disagree.
+        sched = schedule(eps)
+        ends = [float(x) for x in sched.lowers + sched.uppers]
+        points = sorted({p for e in ends for p in (np.nextafter(e, -2.0), e, np.nextafter(e, 2.0))})
+        gamma = np.array(data.draw(st.lists(
+            st.sampled_from([float(p) for p in points]) | st.floats(-1.5, 1.5),
+            min_size=1, max_size=40,
+        )))
+        profile = GammaProfile(gamma, eps)
+        got = combinatorial_rounding(Hypergraph(gamma.size, []), profile)
+        assert got == _rounding_reference(gamma, eps)
+
+    @pytest.mark.parametrize(
+        "gamma", [[np.nan, -0.5, -0.5], [np.inf, -np.inf, -1.0], [np.inf, -1.0, -1.0]]
+    )
+    def test_non_finite_gamma_rejected(self, single_edge, gamma):
+        with pytest.raises(ValueError, match="non-finite gamma at vertex 0"):
+            check_gamma_sums(single_edge, np.array(gamma), 1e-3)
+
+    def test_non_finite_gamma_off_every_edge_rejected(self):
+        # An isolated NaN vertex has no edge sum to break; it is still refused.
+        profile = GammaProfile(np.array([0.5, np.nan]), 1e-3)
+        with pytest.raises(ValueError, match="non-finite gamma at vertex 1"):
+            combinatorial_rounding(Hypergraph(2, []), profile)
 
     def test_gamma_sum_precondition(self, single_edge):
         profile = GammaProfile(np.array([1.0, 1.0, 1.0]), 1e-3)

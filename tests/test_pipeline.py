@@ -27,6 +27,7 @@ from lochroma import (
     lo_color,
     logn_color_bound,
     ortho_profile,
+    schedule,
 )
 from lochroma import gaussround, pipeline
 
@@ -275,6 +276,22 @@ class TestLoColor:
         for strategy in ("n15", "logn"):
             coloring, report = lo_color(inst.H, PipelineConfig(strategy=strategy, seed=2))
             assert check_lo(inst.H, coloring)
+
+
+class TestLognColorBound:
+    def test_two_schedules_at_boundary_eps(self):
+        # Float neighbours of 4/(3*2^k) and 1/3, where ceil(log2(4/(3 eps)))
+        # in floats misses the exact schedule length.
+        xs = [1.0 / 3.0]
+        for k in range(1, 60):
+            x = 4.0 / (3.0 * 2.0**k)
+            xs += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+        for x in (float(x) for x in xs if 0.0 < x < 2.0 / 3.0):
+            assert logn_color_bound(x) == 2 * schedule(x).T + 2, x
+
+    def test_pinned_values(self):
+        assert logn_color_bound(1e-6) == 44
+        assert logn_color_bound(0.2) == 8
 
 
 class TestConfig:
